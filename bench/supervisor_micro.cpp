@@ -1,7 +1,7 @@
 // Microbenchmarks for the out-of-process supervisor: what does crash
-// isolation cost? Compares in-process analysis of a file against a
-// supervised run of the same file (fork/exec + JSON round-trip + merge)
-// and measures how the supervised corpus run scales with --jobs.
+// isolation cost? Compares in-process analysis against a supervised run
+// of the same input — one worker spawn (fork/exec, envelope render and
+// reparse) — for a single file and for the whole ip corpus.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -38,8 +38,8 @@ void BM_InProcessSingleFile(benchmark::State& state) {
 BENCHMARK(BM_InProcessSingleFile)->Unit(benchmark::kMillisecond);
 
 void BM_SupervisedSingleFile(benchmark::State& state) {
-  // The delta vs BM_InProcessSingleFile is the isolation overhead:
-  // fork/exec, pipe capture, JSON render + reparse, merge.
+  // The delta vs BM_InProcessSingleFile is the one-worker spawn
+  // overhead: fork/exec, pipe capture, envelope render + reparse.
   const std::vector<std::string> files = {kCorpus +
                                           "/running_example/core.c"};
   SupervisorOptions opts;
@@ -52,11 +52,27 @@ void BM_SupervisedSingleFile(benchmark::State& state) {
 }
 BENCHMARK(BM_SupervisedSingleFile)->Unit(benchmark::kMillisecond);
 
-void BM_SupervisedCorpusByJobs(benchmark::State& state) {
+void BM_InProcessCorpus(benchmark::State& state) {
+  const auto files = ipCoreFiles();
+  SafeFlowOptions options;
+  options.include_dirs = {kCorpus + "/ip/common"};
+  for (auto _ : state) {
+    SafeFlowDriver driver(options);
+    for (const std::string& f : files) (void)driver.addFile(f);
+    driver.analyze();
+    benchmark::DoNotOptimize(driver.report());
+  }
+  state.counters["files"] = static_cast<double>(files.size());
+}
+BENCHMARK(BM_InProcessCorpus)->Unit(benchmark::kMillisecond);
+
+void BM_SupervisedCorpus(benchmark::State& state) {
+  // The whole program in one worker: the delta vs BM_InProcessCorpus is
+  // the same one-spawn overhead, independent of the file count.
   const auto files = ipCoreFiles();
   SupervisorOptions opts;
   opts.worker_exe = SAFEFLOW_EXE;
-  opts.jobs = static_cast<std::size_t>(state.range(0));
+  opts.worker_args = {"-I", kCorpus + "/ip/common"};
   for (auto _ : state) {
     support::MetricsRegistry registry;
     Supervisor sup(opts, &registry);
@@ -64,12 +80,7 @@ void BM_SupervisedCorpusByJobs(benchmark::State& state) {
   }
   state.counters["files"] = static_cast<double>(files.size());
 }
-BENCHMARK(BM_SupervisedCorpusByJobs)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SupervisedCorpus)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -71,12 +71,13 @@ struct SafeFlowReport {
   /// warning/violation; one finding per distinct location+message is
   /// enough for consumers. First occurrence wins, relative order of the
   /// survivors is unchanged. The driver calls this once before
-  /// rendering; the supervisor applies the same key when merging
-  /// per-worker reports.
+  /// rendering.
   void deduplicate(const support::SourceManager& sm);
 
   /// Human-readable rendering (locations resolved by the caller's source
-  /// manager via pre-rendered strings inside the entries).
+  /// manager via pre-rendered strings inside the entries). With
+  /// renderJson, the only report renderer: every entry point prints
+  /// its output, relayed or replayed byte for byte.
   [[nodiscard]] std::string render(
       const support::SourceManager& sm) const;
 
@@ -91,20 +92,10 @@ struct SafeFlowReport {
   /// keys, schema_version field). When `stats_json` is non-empty it must
   /// be a pre-rendered JSON object (SafeFlowStats::renderJson()); it is
   /// embedded verbatim as the report's "stats" member so `--json` output
-  /// carries the same stats object `--stats-json` writes. When
-  /// `worker_protocol` is set (the `--worker` path only) the document
-  /// additionally carries "required_runtime_checks", which the public
-  /// schema omits; the supervisor needs it to reproduce the in-process
-  /// text report from per-worker documents. `telemetry_json`, when
-  /// non-empty, must be a pre-rendered JSON object and is embedded as
-  /// the document's "telemetry" member (worker protocol only): clock
-  /// epoch, resource usage, and trace spans the supervisor stitches
-  /// into the merged timeline (DESIGN.md §13).
+  /// carries the same stats object `--stats-json` writes.
   [[nodiscard]] std::string renderJson(
       const support::SourceManager& sm,
-      const std::string& stats_json = {},
-      bool worker_protocol = false,
-      const std::string& telemetry_json = {}) const;
+      const std::string& stats_json = {}) const;
 };
 
 }  // namespace safeflow::analysis

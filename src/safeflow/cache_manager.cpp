@@ -15,31 +15,12 @@ namespace safeflow {
 
 namespace {
 
-/// Envelope schema; bumped independently of kAnalyzerVersion when the
-/// entry layout itself changes.
-constexpr std::uint64_t kCacheSchema = 1;
+namespace json = support::json;
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+/// Envelope schema; bumped independently of kAnalyzerVersion when the
+/// entry layout itself changes. 2: rendered output instead of a report
+/// document.
+constexpr std::uint64_t kCacheSchema = 2;
 
 std::optional<std::string> readFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -90,6 +71,50 @@ std::vector<std::string> scanIncludes(std::string_view text) {
 }
 
 }  // namespace
+
+std::vector<std::string> renderModeFlags(bool json, bool quiet) {
+  std::vector<std::string> flags;
+  if (json) flags.emplace_back("--json");
+  if (quiet) flags.emplace_back("--quiet");
+  return flags;
+}
+
+std::string renderRunOutputMembers(const RunOutput& out) {
+  // Indent the embedded stats object to match the enclosing document.
+  std::string stats;
+  for (char c : out.stats.renderJson()) {
+    stats += c;
+    if (c == '\n') stats += "  ";
+  }
+  return "\"exit_code\": " + std::to_string(out.exit_code) +
+         ",\n  \"stdout\": \"" + json::escape(out.stdout_text) +
+         "\",\n  \"stderr\": \"" + json::escape(out.stderr_text) +
+         "\",\n  \"stats\": " + stats;
+}
+
+bool decodeRunOutput(const json::Value& doc, RunOutput* out,
+                     std::string* why) {
+  const json::Value* exit_code = doc.find("exit_code");
+  const json::Value* stdout_text = doc.find("stdout");
+  const json::Value* stderr_text = doc.find("stderr");
+  const json::Value* stats = doc.find("stats");
+  if (exit_code == nullptr || !exit_code->isNumber() ||
+      exit_code->number_value < 0 || exit_code->number_value > 3) {
+    *why = "exit code out of range";
+  } else if (stdout_text == nullptr || !stdout_text->isString() ||
+             stderr_text == nullptr || !stderr_text->isString()) {
+    *why = "missing output streams";
+  } else if (stats == nullptr ||
+             !SafeFlowStats::decodeJson(*stats, &out->stats)) {
+    *why = "missing stats document";
+  } else {
+    out->exit_code = static_cast<int>(exit_code->number_value);
+    out->stdout_text = stdout_text->string_value;
+    out->stderr_text = stderr_text->string_value;
+    return true;
+  }
+  return false;
+}
 
 CacheManager::CacheManager(CacheOptions options,
                            support::MetricsRegistry* metrics)
@@ -229,7 +254,6 @@ void CacheManager::hashFileClosure(const std::string& path,
 
 std::string CacheManager::keyFor(
     const std::vector<std::string>& files) const {
-  const std::lock_guard<std::mutex> lock(closure_mu_);
   support::Fnv1a hasher;
   hasher.update("safeflow-cache-schema:");
   hasher.update(std::to_string(kCacheSchema));
@@ -252,8 +276,7 @@ std::string CacheManager::keyFor(
   return hasher.hex();
 }
 
-std::optional<CachedResult> CacheManager::lookup(const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mu_);
+std::optional<RunOutput> CacheManager::lookup(const std::string& key) {
   support::DiskCache::LookupResult checked = disk_.lookupChecked(key);
   if (checked.status == support::DiskCache::LookupStatus::kMiss) {
     count("cache.misses");
@@ -268,13 +291,13 @@ std::optional<CachedResult> CacheManager::lookup(const std::string& key) {
   // report. A storage-layer checksum failure (torn/truncated write) is
   // additionally counted under cache.torn_entries_purged.
   std::string why;
-  support::json::Value doc;
-  CachedResult result;
+  json::Value doc;
+  RunOutput result;
   std::string parse_error;
   if (checked.status == support::DiskCache::LookupStatus::kTorn) {
     why = "torn or truncated on disk";
     count("cache.torn_entries_purged");
-  } else if (!support::json::parse(checked.payload, &doc, &parse_error) ||
+  } else if (!json::parse(checked.payload, &doc, &parse_error) ||
              !doc.isObject()) {
     why = "unparseable payload (" + parse_error + ")";
   } else if (doc.memberUint("cache_schema") != kCacheSchema) {
@@ -283,23 +306,8 @@ std::optional<CachedResult> CacheManager::lookup(const std::string& key) {
     why = "analyzer version mismatch";
   } else if (doc.memberString("key") != key) {
     why = "key echo mismatch";
-  } else if (const support::json::Value* exit_code = doc.find("exit_code");
-             exit_code == nullptr || !exit_code->isNumber() ||
-             exit_code->number_value < 0 || exit_code->number_value > 3) {
-    why = "exit code out of range";
-  } else if (const support::json::Value* report = doc.find("report");
-             report == nullptr || !report->isObject() ||
-             report->find("schema_version") == nullptr) {
-    why = "missing report document";
   } else {
-    result.exit_code = static_cast<int>(doc.memberNumber("exit_code"));
-    result.stderr_text = doc.memberString("stderr");
-    for (auto& [name, value] : doc.members) {
-      if (name == "report") {
-        result.report = std::move(value);
-        break;
-      }
-    }
+    (void)decodeRunOutput(doc, &result, &why);
   }
 
   if (!why.empty()) {
@@ -322,20 +330,15 @@ std::optional<CachedResult> CacheManager::lookup(const std::string& key) {
   return result;
 }
 
-void CacheManager::store(const std::string& key,
-                         const std::string& report_json, int exit_code,
-                         const std::string& stderr_text) {
-  if (exit_code < 0 || exit_code > 3) return;  // not a ladder outcome
-  std::ostringstream out;
-  out << "{\n  \"cache_schema\": " << kCacheSchema
-      << ",\n  \"analyzer_version\": \"" << jsonEscape(kAnalyzerVersion)
-      << "\",\n  \"key\": \"" << jsonEscape(key)
-      << "\",\n  \"exit_code\": " << exit_code << ",\n  \"stderr\": \""
-      << jsonEscape(stderr_text) << "\",\n  \"report\": " << report_json
-      << "\n}\n";
+void CacheManager::store(const std::string& key, const RunOutput& out) {
+  if (out.exit_code < 0 || out.exit_code > 3) return;  // not a ladder outcome
+  const std::string payload =
+      "{\n  \"cache_schema\": " + std::to_string(kCacheSchema) +
+      ",\n  \"analyzer_version\": \"" + json::escape(kAnalyzerVersion) +
+      "\",\n  \"key\": \"" + json::escape(key) + "\",\n  " +
+      renderRunOutputMembers(out) + "\n}\n";
 
-  const std::lock_guard<std::mutex> lock(mu_);
-  const support::DiskCache::StoreResult stored = disk_.store(key, out.str());
+  const support::DiskCache::StoreResult stored = disk_.store(key, payload);
   if (!stored.ok) {
     SAFEFLOW_LOG(support::LogLevel::kWarn, "cache",
                  "cannot write cache entry for key " + key + ": " +
@@ -351,6 +354,20 @@ void CacheManager::store(const std::string& key,
     metrics_->gauge("cache.size_bytes")
         .set(static_cast<double>(disk_.totalBytes()));
   }
+}
+
+RunOutput CacheManager::run(
+    const std::vector<std::string>& files,
+    const std::function<RunOutput(bool* cacheable)>& compute) {
+  std::string key;
+  if (enabled()) {
+    key = keyFor(files);
+    if (std::optional<RunOutput> hit = lookup(key)) return std::move(*hit);
+  }
+  bool cacheable = false;
+  RunOutput out = compute(&cacheable);
+  if (enabled() && cacheable) store(key, out);
+  return out;
 }
 
 std::string CacheManager::statsLine() const {

@@ -3,23 +3,25 @@
 // SafeFlow's pipeline is deterministic per input set: the same sources
 // (including every resolved header), the same analyzer version, and the
 // same analysis-relevant configuration always produce the same report.
-// The CacheManager exploits that by keying an on-disk entry (a
-// support::DiskCache under --cache-dir) with a 64-bit FNV-1a digest
-// over exactly those inputs and storing the run's worker-protocol JSON
-// report, exit code, and rendered diagnostics. A warm run replays the
-// entry through the same merge path the supervisor uses, so cached and
-// live runs are byte-identical (modulo the cache counters inside the
-// stats document).
+// The CacheManager exploits that by keying one on-disk entry per file
+// set and render mode (a support::DiskCache under --cache-dir) with a
+// 64-bit FNV-1a digest over exactly those inputs, and storing the run's
+// rendered output: stdout and stderr bytes, exit code, and the analysis
+// stats document. A warm run prints the stored bytes, so cached and live
+// runs are byte-identical whichever entry point computed the miss
+// (in-process, a supervised worker, or safeflowd).
 //
 // Key composition (any difference => different key => miss):
 //   - cache envelope schema version;
 //   - kAnalyzerVersion (driver.h; bumped on analysis-semantics changes);
 //   - the analysis-relevant CLI flags, canonically the same passthrough
-//     vector the supervisor forwards to workers (-I/-D/--mode/
+//     vector the supervisor forwards to its worker (-I/-D/--mode/
 //     --no-control-deps/--kill-critical/--time-budget/--step-budget/
-//     --max-depth). Observability (--trace/--stats*/--dot/--json) and
-//     scheduling (--jobs/--isolate/--worker-timeout/--retries) flags
-//     are deliberately excluded: they cannot change findings;
+//     --max-depth), followed by the render-mode flags (--json/--quiet)
+//     because the entry holds rendered bytes. Other observability
+//     (--trace/--stats*/--dot) and scheduling (--isolate/
+//     --worker-timeout/--retries) flags are deliberately excluded: they
+//     cannot change the printed report;
 //   - per input file, in input order: its path (reports embed path
 //     strings, so equal content at a different path must not hit) and
 //     the bytes of the file plus its transitive `#include "..."`
@@ -46,13 +48,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "safeflow/driver.h"
 #include "support/cache.h"
 #include "support/json.h"
 #include "support/metrics.h"
@@ -68,8 +71,9 @@ struct CacheOptions {
   /// Include search path, needed to resolve the header closure the way
   /// the preprocessor will.
   std::vector<std::string> include_dirs;
-  /// Canonical analysis-relevant flag identity, in command-line order
-  /// (the supervisor's worker passthrough vector).
+  /// Canonical flag identity, in command-line order: the analysis flags
+  /// (the supervisor's worker passthrough vector) followed by
+  /// renderModeFlags().
   std::vector<std::string> analysis_flags;
   /// Run a verify-and-purge sweep over every entry at construction
   /// (crash recovery after SIGKILL/power loss). The daemon, which
@@ -78,24 +82,38 @@ struct CacheOptions {
   bool verify_on_open = true;
 };
 
-/// A decoded cache entry: everything needed to reproduce the run's
-/// observable behavior without re-analyzing.
-struct CachedResult {
-  /// The worker-protocol report document (public --json schema plus
-  /// required_runtime_checks and the embedded stats object).
-  support::json::Value report;
-  /// Exit code of the original run (the shared ladder in driver.h).
-  int exit_code = 0;
-  /// Rendered diagnostics of the original run (worker stderr).
+/// The answer of one whole-program run as every entry point prints it:
+/// the exact stdout and stderr bytes, the exit code (the ladder in
+/// driver.h), and the analysis statistics behind them. A worker sends
+/// one in its envelope, the cache stores one per key, and the CLI and
+/// safeflowd relay one unchanged.
+struct RunOutput {
+  std::string stdout_text;
   std::string stderr_text;
+  int exit_code = 0;
+  SafeFlowStats stats;
 };
+
+/// The flags that select what a run prints ("--json", "--quiet"): part
+/// of the cache key and forwarded to the worker.
+[[nodiscard]] std::vector<std::string> renderModeFlags(bool json,
+                                                       bool quiet);
+
+/// Renders the JSON members the worker envelope and the cache entry
+/// share — "exit_code", "stdout", "stderr" and "stats" — as
+/// ",\n  "-separated lines for the caller's enclosing object.
+[[nodiscard]] std::string renderRunOutputMembers(const RunOutput& out);
+
+/// Decodes those members from a parsed envelope. False with `*why` set
+/// when one is missing or out of range.
+bool decodeRunOutput(const support::json::Value& doc, RunOutput* out,
+                     std::string* why);
 
 class CacheManager {
  public:
   /// `metrics` receives cache.hits/misses/writes/evictions/corrupt and
   /// the cache.size_bytes gauge; may be null (counting disabled). Must
-  /// outlive the manager. Thread-safe: the supervisor calls lookup/
-  /// store from its worker pool.
+  /// outlive the manager.
   CacheManager(CacheOptions options, support::MetricsRegistry* metrics);
 
   [[nodiscard]] bool enabled() const { return options_.enabled; }
@@ -114,21 +132,26 @@ class CacheManager {
   void disable(std::string reason);
 
   /// Stable content key (16 hex chars) for analyzing `files` as one
-  /// unit. The supervisor keys each shard with a single-file vector;
-  /// the in-process whole-program path keys the full input set.
+  /// whole program.
   [[nodiscard]] std::string keyFor(
       const std::vector<std::string>& files) const;
 
   /// Hit: decoded entry, LRU-refreshed. Miss (absent, unreadable, or
   /// corrupt): nullopt; corrupt entries are additionally purged and
   /// reported once on stderr.
-  [[nodiscard]] std::optional<CachedResult> lookup(const std::string& key);
+  [[nodiscard]] std::optional<RunOutput> lookup(const std::string& key);
 
-  /// Persists a finished run under `key`. `report_json` must be the
-  /// worker-protocol rendering; failures to write are diagnosed on
-  /// stderr but never fail the run.
-  void store(const std::string& key, const std::string& report_json,
-             int exit_code, const std::string& stderr_text);
+  /// Persists a finished run under `key`. Failures to write are
+  /// diagnosed on stderr but never fail the run.
+  void store(const std::string& key, const RunOutput& out);
+
+  /// The one look-up/compute/store sequence every entry point shares.
+  /// A hit returns the stored output; a miss (or a disabled cache)
+  /// returns `compute()`, stored when `compute` set its flag to say the
+  /// output is the run's complete, reproducible answer.
+  [[nodiscard]] RunOutput run(
+      const std::vector<std::string>& files,
+      const std::function<RunOutput(bool* cacheable)>& compute);
 
   /// One-line human summary for --cache-stats.
   [[nodiscard]] std::string statsLine() const;
@@ -136,7 +159,6 @@ class CacheManager {
  private:
   void count(const char* name, std::uint64_t delta = 1);
   /// Hashes `path` and its transitive include closure into `hasher`.
-  /// Caller holds closure_mu_.
   void hashFileClosure(const std::string& path,
                        const std::string& display_name,
                        support::Fnv1a& hasher,
@@ -146,8 +168,8 @@ class CacheManager {
   /// per run. A shared header is part of every TU's closure, so without
   /// this memo an N-TU corpus re-reads it N times per keyFor sweep;
   /// with it the run does O(unique files) reads. Pinning the first
-  /// observation also makes every shard key of one run see the same
-  /// filesystem snapshot. Caller holds closure_mu_.
+  /// observation also makes every key of one run see the same
+  /// filesystem snapshot.
   struct FileInfo {
     bool exists = false;
     std::string contents;
@@ -161,9 +183,6 @@ class CacheManager {
   support::DiskCache disk_;
   support::MetricsRegistry* metrics_;
   std::string disabled_reason_;
-  std::mutex mu_;  // serializes disk I/O from pool threads
-  /// Guards file_info_: keyFor is const and runs on pool threads.
-  mutable std::mutex closure_mu_;
   mutable std::map<std::string, FileInfo> file_info_;
 };
 

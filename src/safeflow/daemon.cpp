@@ -32,31 +32,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+namespace json = support::json;
 
 std::string errorResponse(const std::string& message) {
   return "{\"safeflowd\": 1, \"status\": \"error\", \"message\": \"" +
-         jsonEscape(message) + "\"}\n";
+         json::escape(message) + "\"}\n";
 }
 
 /// Current resident set in bytes via /proc/self/statm (0 off-Linux or
@@ -170,7 +150,6 @@ bool stringArray(const support::json::Value& doc, const char* member,
 }  // namespace
 
 Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
-  if (options_.jobs == 0) options_.jobs = 1;
   if (options_.max_inflight == 0) options_.max_inflight = 1;
 }
 
@@ -257,7 +236,7 @@ bool Daemon::start(std::string* error) {
   }
   SAFEFLOW_LOG(support::LogLevel::kNote, "daemon", "listening",
                {{"socket", options_.socket_path},
-                {"jobs", std::to_string(options_.jobs)},
+                {"max_inflight", std::to_string(options_.max_inflight)},
                 {"cache_dir",
                  options_.cache.enabled ? options_.cache.dir : "(off)"}});
   return true;
@@ -650,8 +629,6 @@ std::string Daemon::handleAnalyze(const support::json::Value& request) {
       response = errorResponse("deadline expired before analysis started");
     } else {
       response = runAnalysis(files, flags, json, quiet, remaining);
-      // The retry-tightening base, for parity with the one-shot CLI.
-      (void)time_budget_seconds;
     }
     {
       const std::lock_guard<std::mutex> lock(mu_);
@@ -679,9 +656,9 @@ std::string Daemon::runAnalysis(const std::vector<std::string>& files,
                                 const std::vector<std::string>& flags,
                                 bool json, bool quiet,
                                 double deadline_seconds) {
-  // Fresh registry per request so the counters inside the response (and
-  // an embedded --json stats document) describe this request alone,
-  // exactly like a one-shot CLI invocation's registry would.
+  // Fresh registry per request so the counters in the response describe
+  // this request alone, exactly like a one-shot CLI invocation's
+  // registry would.
   support::MetricsRegistry registry;
 
   std::vector<std::string> include_dirs;
@@ -692,25 +669,29 @@ std::string Daemon::runAnalysis(const std::vector<std::string>& files,
   CacheOptions cache_options = options_.cache;
   cache_options.include_dirs = include_dirs;
   cache_options.analysis_flags = flags;
+  for (std::string& flag : renderModeFlags(json, quiet)) {
+    cache_options.analysis_flags.push_back(std::move(flag));
+  }
   // start() already ran the verify-and-purge sweep once; rescanning the
   // whole cache dir per request would turn every analyze into O(cache).
   cache_options.verify_on_open = false;
   CacheManager cache(cache_options, &registry);
 
   SupervisorOptions sup;
-  sup.jobs = options_.jobs;
   sup.max_retries = options_.max_retries;
   sup.worker_exe = options_.worker_exe;
   sup.worker_args = flags;
   if (options_.cache.enabled) {
-    // Workers of every request share one on-disk summary store next to
-    // the TU cache, so a function analyzed for one client is spliced
-    // for the next. Appended here, not taken from the request flags:
-    // the store location is daemon policy, stays outside the
-    // validateFlags whitelist, and must not perturb the TU cache key.
+    // Every request's worker shares one on-disk summary store next to
+    // the result cache, so a function analyzed for one client is spliced
+    // for the next. Appended here, not taken from the request flags: the
+    // store location is daemon policy, stays outside the validateFlags
+    // whitelist, and must not perturb the result cache key.
     sup.worker_args.push_back("--summaries-dir");
     sup.worker_args.push_back(options_.cache.dir + "/summaries");
   }
+  sup.json = json;
+  sup.quiet = quiet;
   sup.worker_stderr_cap = options_.worker_stderr_cap;
   sup.base_time_budget_seconds = time_budget_seconds;
   // The request deadline is inherited into the worker watchdog: no
@@ -719,18 +700,16 @@ std::string Daemon::runAnalysis(const std::vector<std::string>& files,
       options_.worker_timeout_seconds > 0.0
           ? std::min(options_.worker_timeout_seconds, deadline_seconds)
           : deadline_seconds;
-  if (cache.enabled()) sup.cache = &cache;
 
   support::flightRecord("daemon", "analyze " + files.front() +
                                       (files.size() > 1 ? " +" : ""));
-  Supervisor supervisor(sup, &registry);
-  MergedReport merged = supervisor.run(files);
-  merged.stats.cache_disabled_reason = cache.disabledReason();
-  const RenderedRun rendered = renderMergedRun(merged, json, quiet);
-
-  const std::uint64_t cache_hits = registry.counterValue("cache.hits");
-  const std::uint64_t workers =
-      registry.counterValue("supervisor.workers_spawned");
+  bool worker_failed = false;
+  const RunOutput out = cache.run(files, [&](bool* cacheable) {
+    const SupervisedRun run = Supervisor(sup, &registry).run(files);
+    worker_failed = run.failure.has_value();
+    *cacheable = run.cacheable();
+    return run.output;
+  });
 
   // Fold the request's counters into the daemon-level registry so
   // `status` exposes fleet-wide totals across all clients.
@@ -739,15 +718,17 @@ std::string Daemon::runAnalysis(const std::vector<std::string>& files,
     metrics_.counter(name).add(value);
   }
 
-  std::ostringstream out;
-  out << "{\"safeflowd\": 1, \"status\": \"ok\", \"exit_code\": "
-      << rendered.exit_code << ", \"cache_hits\": " << cache_hits
-      << ", \"workers_spawned\": " << workers
-      << ", \"worker_failures\": " << merged.worker_failures.size()
-      << ", \"stdout\": \"" << jsonEscape(rendered.stdout_text)
-      << "\", \"stderr\": \"" << jsonEscape(rendered.stderr_text)
-      << "\"}\n";
-  return out.str();
+  std::ostringstream response;
+  response << "{\"safeflowd\": 1, \"status\": \"ok\", \"exit_code\": "
+           << out.exit_code
+           << ", \"cache_hits\": " << registry.counterValue("cache.hits")
+           << ", \"workers_spawned\": "
+           << registry.counterValue("supervisor.workers_spawned")
+           << ", \"worker_failures\": " << (worker_failed ? 1 : 0)
+           << ", \"stdout\": \"" << json::escape(out.stdout_text)
+           << "\", \"stderr\": \"" << json::escape(out.stderr_text)
+           << "\"}\n";
+  return response.str();
 }
 
 std::string Daemon::statusResponse() {
@@ -760,7 +741,7 @@ std::string Daemon::statusResponse() {
   const auto snap = metrics_.snapshot();
   std::ostringstream out;
   out << "{\"safeflowd\": 1, \"status\": \"ok\", \"version\": \""
-      << jsonEscape(kAnalyzerVersion) << "\", \"pid\": " << ::getpid()
+      << json::escape(kAnalyzerVersion) << "\", \"pid\": " << ::getpid()
       << ", \"queue_depth\": " << queued << ", \"in_flight\": " << in_flight
       << ", \"pressure_level\": "
       << pressure_level_.load(std::memory_order_relaxed)
@@ -769,14 +750,14 @@ std::string Daemon::statusResponse() {
       << ", \"counters\": {";
   for (std::size_t i = 0; i < snap.counters.size(); ++i) {
     out << (i == 0 ? "" : ", ") << "\""
-        << jsonEscape(snap.counters[i].first)
+        << json::escape(snap.counters[i].first)
         << "\": " << snap.counters[i].second;
   }
   out << "}, \"gauges\": {";
   char num[64];
   for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
     std::snprintf(num, sizeof num, "%.9g", snap.gauges[i].second);
-    out << (i == 0 ? "" : ", ") << "\"" << jsonEscape(snap.gauges[i].first)
+    out << (i == 0 ? "" : ", ") << "\"" << json::escape(snap.gauges[i].first)
         << "\": " << num;
   }
   out << "}}\n";
@@ -786,7 +767,7 @@ std::string Daemon::statusResponse() {
 void Daemon::flushMetrics() {
   if (options_.metrics_out_path.empty()) return;
   SafeFlowStats stats;
-  foldRegistrySnapshot(metrics_, &stats);
+  stats.fold(metrics_);
   stats.resource = support::sampleResourceUsage();
   const support::io::IoStatus status = support::io::writeFile(
       options_.metrics_out_path, stats.renderPrometheus(), "metrics.out");

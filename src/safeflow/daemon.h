@@ -1,7 +1,8 @@
 // safeflowd — the resident analysis daemon (DESIGN.md §14): a
-// Unix-domain-socket server that keeps the DiskCache warm and the
-// supervisor worker pool resident, so every IDE keystroke or CI job
-// stops paying full process startup and cold caches.
+// Unix-domain-socket server that keeps the DiskCache warm and runs each
+// analyze request in one crash-isolated whole-program worker, so every
+// IDE keystroke or CI job stops paying full process startup and cold
+// caches.
 //
 // Protocol: NDJSON, one request per connection. The client sends one
 // JSON object terminated by '\n', the daemon replies with one JSON
@@ -16,9 +17,9 @@
 // Responses (`status` discriminates):
 //   ok        analyze finished: exit_code + the exact bytes the one-shot
 //             CLI would have printed (stdout/stderr members). Byte
-//             identity with `safeflow --isolate --jobs N` is a hard
-//             contract, enforced by renderMergedRun being the single
-//             rendering path for both.
+//             identity with the in-process `safeflow` run is a hard
+//             contract: the worker runs that path and the daemon relays
+//             its bytes (or the cache's) unchanged.
 //   busy      admission control shed the request (queue depth or RSS
 //             cap); carries retry_after_ms and queue_depth.
 //   draining  SIGTERM received; the daemon finishes in-flight work and
@@ -34,7 +35,7 @@
 //     waiter receives the leader's byte-identical response;
 //   - worker crashes are already contained by the supervisor (SIGKILL
 //     watchdog, retries, flight-recorder postmortems) and surface in
-//     the response like the one-shot CLI surfaces them;
+//     the response like the one-shot --isolate CLI surfaces them;
 //   - malformed/oversized/disconnected requests cost one connection
 //     thread an error path, never the daemon;
 //   - a pressure watchdog samples RSS, open fds, and cache-dir disk
@@ -69,10 +70,9 @@ namespace safeflow {
 
 struct DaemonOptions {
   std::string socket_path = "safeflowd.sock";
-  /// Worker-pool width per analyze request (the supervisor's --jobs).
-  std::size_t jobs = 2;
-  /// Concurrent analyze requests actually running (each holding a
-  /// worker pool); further admitted requests queue.
+  /// Concurrent analyze requests actually running (each holding one
+  /// worker); further admitted requests queue. The daemon's only
+  /// concurrency setting.
   std::size_t max_inflight = 2;
   /// Queued (admitted but not yet running) analyze requests beyond
   /// which new ones are shed with `busy`.

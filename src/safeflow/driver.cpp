@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <sstream>
 
 #include "analysis/alias.h"
@@ -13,6 +14,7 @@
 #include "ir/ssa.h"
 #include "safeflow/summary_store.h"
 #include "support/fault_inject.h"
+#include "support/json.h"
 #include "support/log.h"
 
 namespace safeflow {
@@ -417,27 +419,7 @@ void SafeFlowDriver::finishPipeline() {
 
 namespace {
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+namespace json = support::json;
 
 std::string jsonDouble(double v) {
   char buf[64];
@@ -497,7 +479,7 @@ std::string SafeFlowStats::renderTable() const {
     }
   }
   if (!shards.empty()) {
-    out << "per-shard attribution:\n";
+    out << "worker attribution:\n";
     for (const auto& s : shards) {
       std::snprintf(buf, sizeof buf,
                     "  %-28s %9.3f ms wall  %8llu KiB rss  %d attempt(s)%s\n",
@@ -555,15 +537,15 @@ std::string SafeFlowStats::renderJson() const {
     for (std::size_t i = 0; i < budget_events.size(); ++i) {
       const auto& e = budget_events[i];
       out << (i == 0 ? "\n" : ",\n") << "    {\"phase\": \""
-          << jsonEscape(e.phase) << "\", \"reason\": \""
-          << jsonEscape(e.reason) << "\", \"steps\": " << e.steps << "}";
+          << json::escape(e.phase) << "\", \"reason\": \""
+          << json::escape(e.reason) << "\", \"steps\": " << e.steps << "}";
     }
     out << "\n  ]";
   }
   if (!failed_files.empty()) {
     out << ",\n  \"failed_files\": [";
     for (std::size_t i = 0; i < failed_files.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << "\"" << jsonEscape(failed_files[i])
+      out << (i == 0 ? "" : ", ") << "\"" << json::escape(failed_files[i])
           << "\"";
     }
     out << "]";
@@ -571,19 +553,19 @@ std::string SafeFlowStats::renderJson() const {
   out << ",\n  \"phases\": [";
   for (std::size_t i = 0; i < phase_seconds.size(); ++i) {
     out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \""
-        << jsonEscape(phase_seconds[i].first) << "\", \"seconds\": "
+        << json::escape(phase_seconds[i].first) << "\", \"seconds\": "
         << jsonDouble(phase_seconds[i].second) << "}";
   }
   out << (phase_seconds.empty() ? "]" : "\n  ]");
   out << ",\n  \"counters\": {";
   for (std::size_t i = 0; i < counters.size(); ++i) {
-    out << (i == 0 ? "" : ", ") << "\"" << jsonEscape(counters[i].first)
+    out << (i == 0 ? "" : ", ") << "\"" << json::escape(counters[i].first)
         << "\": " << counters[i].second;
   }
   out << "}";
   out << ",\n  \"gauges\": {";
   for (std::size_t i = 0; i < gauges.size(); ++i) {
-    out << (i == 0 ? "" : ", ") << "\"" << jsonEscape(gauges[i].first)
+    out << (i == 0 ? "" : ", ") << "\"" << json::escape(gauges[i].first)
         << "\": " << jsonDouble(gauges[i].second);
   }
   out << "}";
@@ -596,7 +578,7 @@ std::string SafeFlowStats::renderJson() const {
     for (std::size_t i = 0; i < durations.size(); ++i) {
       const auto& d = durations[i];
       out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \""
-          << jsonEscape(d.name) << "\", \"count\": " << d.count
+          << json::escape(d.name) << "\", \"count\": " << d.count
           << ", \"total_seconds\": " << jsonDouble(d.total_seconds)
           << ", \"min_seconds\": " << jsonDouble(d.min_seconds)
           << ", \"max_seconds\": " << jsonDouble(d.max_seconds)
@@ -611,7 +593,7 @@ std::string SafeFlowStats::renderJson() const {
     for (std::size_t i = 0; i < shards.size(); ++i) {
       const auto& s = shards[i];
       out << (i == 0 ? "\n" : ",\n") << "    {\"file\": \""
-          << jsonEscape(s.file) << "\", \"wall_seconds\": "
+          << json::escape(s.file) << "\", \"wall_seconds\": "
           << jsonDouble(s.wall_seconds)
           << ", \"user_seconds\": " << jsonDouble(s.user_seconds)
           << ", \"sys_seconds\": " << jsonDouble(s.sys_seconds)
@@ -627,14 +609,125 @@ std::string SafeFlowStats::renderJson() const {
       << ", \"max_rss_kb\": " << resource.max_rss_kb << "}";
   if (!cache_disabled_reason.empty()) {
     out << ",\n  \"cache_disabled_reason\": \""
-        << jsonEscape(cache_disabled_reason) << "\"";
+        << json::escape(cache_disabled_reason) << "\"";
   }
   if (!summaries_disabled_reason.empty()) {
     out << ",\n  \"summaries_disabled_reason\": \""
-        << jsonEscape(summaries_disabled_reason) << "\"";
+        << json::escape(summaries_disabled_reason) << "\"";
   }
   out << "\n}";
   return out.str();
+}
+
+bool SafeFlowStats::decodeJson(const support::json::Value& doc,
+                               SafeFlowStats* out) {
+  if (!doc.isObject()) return false;
+  SafeFlowStats s;
+  s.files = doc.memberUint("files");
+  if (const json::Value* loc = doc.find("loc"); loc != nullptr) {
+    s.loc.total_lines = loc->memberUint("total_lines");
+    s.loc.code_lines = loc->memberUint("code_lines");
+    s.loc.comment_lines = loc->memberUint("comment_lines");
+    s.loc.blank_lines = loc->memberUint("blank_lines");
+  }
+  s.annotation_count = doc.memberUint("annotation_count");
+  s.annotation_lines = doc.memberUint("annotation_lines");
+  s.functions = doc.memberUint("functions");
+  s.monitor_functions = doc.memberUint("monitor_functions");
+  s.init_functions = doc.memberUint("init_functions");
+  s.shm_regions = doc.memberUint("shm_regions");
+  s.noncore_regions = doc.memberUint("noncore_regions");
+  s.shm_iterations = doc.memberUint("shm_iterations");
+  s.taint_body_analyses = doc.memberUint("taint_body_analyses");
+  s.frontend_seconds = doc.memberNumber("frontend_seconds");
+  s.analysis_seconds = doc.memberNumber("analysis_seconds");
+  s.total_seconds = doc.memberNumber("total_seconds");
+  if (const json::Value* events = doc.find("degraded_phases");
+      events != nullptr) {
+    for (const json::Value& e : events->array) {
+      s.budget_events.push_back(
+          {e.memberString("phase"), e.memberString("reason"),
+           e.memberUint("steps")});
+    }
+  }
+  if (const json::Value* failed = doc.find("failed_files");
+      failed != nullptr) {
+    for (const json::Value& f : failed->array) {
+      s.failed_files.push_back(f.stringOr({}));
+    }
+  }
+  if (const json::Value* phases = doc.find("phases"); phases != nullptr) {
+    for (const json::Value& p : phases->array) {
+      s.phase_seconds.emplace_back(p.memberString("name"),
+                                   p.memberNumber("seconds"));
+    }
+  }
+  if (const json::Value* cs = doc.find("counters"); cs != nullptr) {
+    for (const auto& [name, value] : cs->members) {
+      s.counters.emplace_back(name, value.uintOr(0));
+    }
+  }
+  if (const json::Value* gs = doc.find("gauges"); gs != nullptr) {
+    for (const auto& [name, value] : gs->members) {
+      s.gauges.emplace_back(name, value.numberOr(0.0));
+    }
+  }
+  if (const json::Value* ds = doc.find("durations"); ds != nullptr) {
+    for (const json::Value& d : ds->array) {
+      support::MetricsRegistry::DurationSnapshot digest;
+      digest.name = d.memberString("name");
+      digest.count = d.memberUint("count");
+      digest.total_seconds = d.memberNumber("total_seconds");
+      digest.min_seconds = d.memberNumber("min_seconds");
+      digest.max_seconds = d.memberNumber("max_seconds");
+      digest.p50_seconds = d.memberNumber("p50_seconds");
+      digest.p90_seconds = d.memberNumber("p90_seconds");
+      digest.p99_seconds = d.memberNumber("p99_seconds");
+      s.durations.push_back(std::move(digest));
+    }
+  }
+  if (const json::Value* shards = doc.find("shards"); shards != nullptr) {
+    for (const json::Value& w : shards->array) {
+      ShardStat stat;
+      stat.file = w.memberString("file");
+      stat.wall_seconds = w.memberNumber("wall_seconds");
+      stat.user_seconds = w.memberNumber("user_seconds");
+      stat.sys_seconds = w.memberNumber("sys_seconds");
+      stat.max_rss_kb = w.memberUint("max_rss_kb");
+      stat.attempts = static_cast<int>(w.memberUint("attempts", 1));
+      const json::Value* cached = w.find("from_cache");
+      stat.from_cache = cached != nullptr && cached->boolOr(false);
+      s.shards.push_back(std::move(stat));
+    }
+  }
+  if (const json::Value* res = doc.find("resource"); res != nullptr) {
+    s.resource.user_seconds = res->memberNumber("user_seconds");
+    s.resource.sys_seconds = res->memberNumber("sys_seconds");
+    s.resource.max_rss_kb = res->memberUint("max_rss_kb");
+  }
+  s.cache_disabled_reason = doc.memberString("cache_disabled_reason");
+  s.summaries_disabled_reason =
+      doc.memberString("summaries_disabled_reason");
+  *out = std::move(s);
+  return true;
+}
+
+void SafeFlowStats::fold(const support::MetricsRegistry& metrics) {
+  auto snap = metrics.snapshot();
+  std::map<std::string, std::uint64_t> merged_counters(counters.begin(),
+                                                       counters.end());
+  for (const auto& [name, value] : snap.counters) {
+    merged_counters[name] += value;
+  }
+  counters.assign(merged_counters.begin(), merged_counters.end());
+  std::map<std::string, double> merged_gauges(gauges.begin(), gauges.end());
+  for (const auto& [name, value] : snap.gauges) merged_gauges[name] = value;
+  gauges.assign(merged_gauges.begin(), merged_gauges.end());
+  std::map<std::string, support::MetricsRegistry::DurationSnapshot> digests;
+  for (auto& d : durations) digests[d.name] = std::move(d);
+  for (auto& d : snap.durations) digests[d.name] = std::move(d);
+  durations.clear();
+  for (auto& [name, d] : digests) durations.push_back(std::move(d));
 }
 
 std::string SafeFlowStats::renderPrometheus() const {

@@ -28,6 +28,10 @@
 #include "support/loc_counter.h"
 #include "support/metrics.h"
 
+namespace safeflow::support::json {
+class Value;
+}  // namespace safeflow::support::json
+
 namespace safeflow {
 
 class SummaryStore;
@@ -40,14 +44,15 @@ class SummaryStore;
 /// propagation, restriction rules, taint, rendering, defaults. The bump
 /// is what invalidates every stale cache entry; forgetting it means an
 /// upgraded analyzer can replay a report the old version produced.
-inline constexpr const char kAnalyzerVersion[] = "0.9.0";
+/// 0.10.0: cache entries hold rendered output per file set.
+inline constexpr const char kAnalyzerVersion[] = "0.10.0";
 
-/// The exit-code ladder, shared by the in-process CLI path and the
-/// supervised (worker-pool) path so the two can never disagree:
+/// The exit-code ladder of every run (the supervised path relays the
+/// worker's, which ran the in-process path):
 ///
 ///   1  error dependencies found (data errors)
-///   2  usage / front-end errors (including worker crashes: the file was
-///      not fully analyzed)
+///   2  usage / front-end errors (including a dead worker: nothing was
+///      analyzed)
 ///   3  clean but degraded (an analysis budget tripped; findings are
 ///      valid, absences unproven)
 ///   0  clean
@@ -129,10 +134,11 @@ struct SafeFlowStats {
   std::vector<std::string> failed_files;
   /// Per-duration-histogram digest (count/total/min/max/p50/p90/p99),
   /// name-sorted; covers every "phase.*" histogram plus supervisor-side
-  /// histograms like "supervisor.shard_seconds" (schema_version 2).
+  /// histograms like "supervisor.worker_wall" (schema_version 2).
   std::vector<support::MetricsRegistry::DurationSnapshot> durations;
-  /// Per-shard attribution filled by the supervisor (empty on the
-  /// in-process path): wall clock, CPU split, and peak RSS per worker.
+  /// Worker attribution filled by the supervisor (empty on the
+  /// in-process path and on cache hits): wall clock, CPU split, and peak
+  /// RSS of the one whole-program worker, labeled with its first input.
   struct ShardStat {
     std::string file;
     double wall_seconds = 0.0;
@@ -162,6 +168,16 @@ struct SafeFlowStats {
   /// Prometheus text exposition (what `--metrics-out <file>` writes):
   /// counters as safeflow_<name>_total, gauges/timings as safeflow_<name>.
   [[nodiscard]] std::string renderPrometheus() const;
+
+  /// The inverse of renderJson(): decodes a stats document (a worker's or
+  /// a cache entry's) into `*out`. Absent members keep their defaults;
+  /// false when `doc` is not an object.
+  static bool decodeJson(const support::json::Value& doc,
+                         SafeFlowStats* out);
+  /// Folds a registry snapshot in (the supervisor's, the cache's, the
+  /// daemon's): counters add, gauges overwrite, and duration digests
+  /// replace any same-named digest.
+  void fold(const support::MetricsRegistry& metrics);
 };
 
 class SafeFlowDriver {

@@ -1,5 +1,6 @@
 #include "support/fault_inject.h"
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdlib>
@@ -81,14 +82,17 @@ bool parseSpec(const char* text, FaultSpec* spec) {
 
 }  // namespace
 
-void armWorkerFaultInjection(const std::string& input_file) {
+void armWorkerFaultInjection(const std::vector<std::string>& input_files) {
   const char* spec_text = std::getenv("SAFEFLOW_INJECT_FAULT");
   if (spec_text == nullptr || *spec_text == '\0') return;
 
   if (const char* file = std::getenv("SAFEFLOW_INJECT_FAULT_FILE");
       file != nullptr && *file != '\0' &&
-      input_file.find(file) == std::string::npos) {
-    return;  // spec targets a different shard
+      std::none_of(input_files.begin(), input_files.end(),
+                   [file](const std::string& input) {
+                     return input.find(file) != std::string::npos;
+                   })) {
+    return;  // spec targets a different input set
   }
   if (const char* attempts = std::getenv("SAFEFLOW_INJECT_FAULT_ATTEMPTS");
       attempts != nullptr && *attempts != '\0') {

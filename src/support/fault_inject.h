@@ -17,8 +17,8 @@
 //     nth   trigger on the nth entry to that phase (default 1)
 //
 //   SAFEFLOW_INJECT_FAULT_FILE=<substr>
-//     arm only when the worker's input file path contains <substr>
-//     (lets a corpus-wide soak run target a single shard)
+//     arm only when one of the worker's input file paths contains
+//     <substr> (lets a soak aim a fault at runs over one input)
 //
 //   SAFEFLOW_INJECT_FAULT_ATTEMPTS=<n>
 //     arm only while the supervisor-provided SAFEFLOW_WORKER_ATTEMPT is
@@ -31,13 +31,14 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 namespace safeflow::support {
 
 /// Parses the SAFEFLOW_INJECT_FAULT* environment and arms the hook for
-/// this process when the spec matches `input_file`. Called only by the
-/// `safeflow --worker` entry point.
-void armWorkerFaultInjection(const std::string& input_file);
+/// this process when the spec matches one of `input_files`. Called only
+/// by the `safeflow --worker` entry point.
+void armWorkerFaultInjection(const std::vector<std::string>& input_files);
 
 /// True when a fault is armed (test/introspection helper).
 [[nodiscard]] bool faultInjectionArmed();

@@ -1,11 +1,11 @@
 // Minimal JSON reader for the analysis supervisor: parses the documents
-// the tool itself emits (worker `--json` reports, `--stats-json`
-// metrics) back into a small value tree so they can be merged. This is a
+// the tool itself emits (worker envelopes, cache entries, `--stats-json`
+// metrics) back into a small value tree so they can be decoded. This is a
 // strict RFC-8259 subset reader — objects, arrays, strings with the
 // escapes our writer produces, numbers, booleans, null — with a depth
 // cap so a corrupted or adversarial worker stream cannot blow the stack.
 // It is not a general-purpose JSON library and does not preserve number
-// formatting round-trips; merged documents are re-rendered from scratch.
+// formatting round-trips; decoded documents are re-rendered from scratch.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +57,11 @@ class Value {
   [[nodiscard]] std::uint64_t memberUint(std::string_view key,
                                          std::uint64_t fallback = 0) const;
 };
+
+/// Escapes `s` for embedding inside a JSON string literal: quotes,
+/// backslashes, \n and \t get their short escapes, other control bytes
+/// become \u00xx, everything else passes through. parse() inverts it.
+[[nodiscard]] std::string escape(std::string_view s);
 
 /// Parses `text` into `*out`. On failure returns false and, when `error`
 /// is non-null, stores a one-line description with byte offset.

@@ -15,7 +15,7 @@
 // Levels, most to least severe: error > warn > note > info > debug.
 // The default threshold is `note`: errors, warnings, and explicit
 // operator-facing notes (e.g. "cache disabled under --trace") are
-// printed; info/debug chatter (per-shard lifecycle, cache store
+// printed; info/debug chatter (worker lifecycle, cache store
 // details) needs --log-level info / debug.
 //
 // The SAFEFLOW_LOG macro evaluates its message/kv arguments only when

@@ -176,7 +176,7 @@ class TraceCollector {
   [[nodiscard]] std::int64_t epochSteadyNs() const;
 
   /// The spans as a bare JSON array of objects (name, tid, start_us,
-  /// dur_us, args) — the worker-protocol "telemetry.spans" payload.
+  /// dur_us, args) — the worker envelope's "telemetry.spans" payload.
   /// Open spans are serialized as if they ended now.
   [[nodiscard]] std::string spansToJsonArray() const;
 

@@ -1,8 +1,9 @@
 // Tests for the incremental analysis cache: the FNV-1a hasher against
 // known vectors, DiskCache durability and LRU eviction, CacheManager
 // key sensitivity (content, headers, flags, order, search path),
-// corrupt-entry fallback, and end-to-end warm runs through the real
-// supervisor (SAFEFLOW_EXE workers) including the edit-one-TU case.
+// corrupt-entry fallback, and end-to-end warm runs through the shared
+// look-up/compute/store sequence with the real supervisor (SAFEFLOW_EXE
+// workers) computing misses, including the edit-one-TU case.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -365,11 +366,11 @@ TEST(CacheKey, CyclicIncludesTerminate) {
 
 // --- CacheManager store/lookup robustness ---------------------------
 
-const char kMinimalReport[] =
-    "{\"schema_version\": 1, \"warnings\": [], \"errors\": [],"
-    " \"restriction_violations\": [], \"asserts_checked\": 0,"
-    " \"data_errors\": 0, \"control_only\": 0,"
-    " \"required_runtime_checks\": []}";
+RunOutput minimalOutput() {
+  RunOutput out;
+  out.stdout_text = "safeflow: 0 warning(s)\n";
+  return out;
+}
 
 TEST(CacheManagerTest, StoreThenLookupReturnsTheDecodedEntry) {
   CacheOptions options;
@@ -378,13 +379,20 @@ TEST(CacheManagerTest, StoreThenLookupReturnsTheDecodedEntry) {
   support::MetricsRegistry registry;
   CacheManager manager(options, &registry);
 
-  manager.store("deadbeefdeadbeef", kMinimalReport, 3, "some stderr\n");
+  RunOutput out;
+  out.stdout_text = "== SafeFlow report ==\n\t\"quoted\" \\ line\n";
+  out.stderr_text = "some stderr\n";
+  out.exit_code = 3;
+  out.stats.files = 2;
+  out.stats.counters = {{"taint.body_analyses", 9}};
+  manager.store("deadbeefdeadbeef", out);
   const auto hit = manager.lookup("deadbeefdeadbeef");
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->exit_code, 3);
+  EXPECT_EQ(hit->stdout_text, out.stdout_text);
   EXPECT_EQ(hit->stderr_text, "some stderr\n");
-  EXPECT_TRUE(hit->report.isObject());
-  EXPECT_EQ(hit->report.memberUint("schema_version"), 1u);
+  EXPECT_EQ(hit->exit_code, 3);
+  EXPECT_EQ(hit->stats.files, 2u);
+  EXPECT_EQ(hit->stats.counters, out.stats.counters);
   EXPECT_EQ(registry.counterValue("cache.writes"), 1u);
   EXPECT_EQ(registry.counterValue("cache.hits"), 1u);
   EXPECT_EQ(registry.counterValue("cache.misses"), 0u);
@@ -396,7 +404,7 @@ TEST(CacheManagerTest, TruncatedEntryIsPurgedAndCounted) {
   options.dir = freshDir("mgr_corrupt");
   support::MetricsRegistry registry;
   CacheManager manager(options, &registry);
-  manager.store("deadbeefdeadbeef", kMinimalReport, 0, "");
+  manager.store("deadbeefdeadbeef", minimalOutput());
 
   // Truncate the entry the way a full disk or a kill -9 mid-copy would.
   const support::DiskCache disk_view({options.dir, 0});
@@ -424,7 +432,7 @@ TEST(CacheManagerTest, WrongKeyEchoAndVersionMismatchAreCorrupt) {
   options.dir = freshDir("mgr_echo");
   support::MetricsRegistry registry;
   CacheManager manager(options, &registry);
-  manager.store("aaaaaaaaaaaaaaaa", kMinimalReport, 0, "");
+  manager.store("aaaaaaaaaaaaaaaa", minimalOutput());
 
   // Copy the valid entry's decoded payload under a different key: the
   // storage envelope verifies fine, but the key echoed inside no longer
@@ -457,13 +465,19 @@ TEST(CacheManagerTest, FaultInjectionEnvDisablesTheCache) {
 
 // --- End-to-end through the real supervisor -------------------------
 
-SupervisorOptions supervisedOptions(CacheManager* cache) {
-  SupervisorOptions opts;
-  opts.worker_exe = SAFEFLOW_EXE;
-  opts.jobs = 4;
-  opts.worker_timeout_seconds = 60.0;
-  opts.cache = cache;
-  return opts;
+/// One supervised run through the cache, the way the CLI's --isolate
+/// path and safeflowd compute a miss.
+RunOutput supervisedRun(CacheManager& cache,
+                        support::MetricsRegistry& registry,
+                        const std::vector<std::string>& files) {
+  return cache.run(files, [&](bool* cacheable) {
+    SupervisorOptions opts;
+    opts.worker_exe = SAFEFLOW_EXE;
+    opts.worker_timeout_seconds = 60.0;
+    const SupervisedRun run = Supervisor(opts, &registry).run(files);
+    *cacheable = run.cacheable();
+    return run.output;
+  });
 }
 
 TEST(SupervisedCache, WarmRunHitsEveryShardAndSpawnsNoWorkers) {
@@ -479,17 +493,18 @@ TEST(SupervisedCache, WarmRunHitsEveryShardAndSpawnsNoWorkers) {
   for (int run = 0; run < 2; ++run) {
     support::MetricsRegistry registry;
     CacheManager cache(cache_options, &registry);
-    Supervisor sup(supervisedOptions(&cache), &registry);
-    const MergedReport merged = sup.run(files);
-    EXPECT_EQ(merged.exitCode(), 0);
-    renders[run] = merged.render();
+    const RunOutput out = supervisedRun(cache, registry, files);
+    EXPECT_EQ(out.exit_code, 0);
+    renders[run] = out.stdout_text;
     hits[run] = registry.counterValue("cache.hits");
     spawned[run] = registry.counterValue("supervisor.workers_spawned");
   }
+  // One entry per file set: the cold run spawns one worker, the warm
+  // run is one hit and spawns none.
   EXPECT_EQ(hits[0], 0u);
-  EXPECT_EQ(spawned[0], files.size());
-  EXPECT_EQ(hits[1], files.size());  // 100% warm
-  EXPECT_EQ(spawned[1], 0u);        // no workers at all
+  EXPECT_EQ(spawned[0], 1u);
+  EXPECT_EQ(hits[1], 1u);
+  EXPECT_EQ(spawned[1], 0u);
   EXPECT_EQ(renders[0], renders[1]);
 }
 
@@ -507,19 +522,20 @@ TEST(SupervisedCache, EditingOneTuMissesExactlyThatShard) {
   {
     support::MetricsRegistry registry;
     CacheManager cache(cache_options, &registry);
-    Supervisor sup(supervisedOptions(&cache), &registry);
-    (void)sup.run({one, two});
-    EXPECT_EQ(registry.counterValue("cache.writes"), 2u);
+    (void)supervisedRun(cache, registry, {one, two});
+    EXPECT_EQ(registry.counterValue("cache.writes"), 1u);
   }
+  // The program changed, so its one entry misses and one worker
+  // re-analyzes the whole file set.
   writeFile(one, "int first_unit(void) { return 3; }\n");
   {
     support::MetricsRegistry registry;
     CacheManager cache(cache_options, &registry);
-    Supervisor sup(supervisedOptions(&cache), &registry);
-    (void)sup.run({one, two});
+    (void)supervisedRun(cache, registry, {one, two});
     EXPECT_EQ(registry.counterValue("cache.misses"), 1u);
-    EXPECT_EQ(registry.counterValue("cache.hits"), 1u);
+    EXPECT_EQ(registry.counterValue("cache.hits"), 0u);
     EXPECT_EQ(registry.counterValue("supervisor.workers_spawned"), 1u);
+    EXPECT_EQ(registry.counterValue("cache.writes"), 1u);
   }
 }
 
@@ -534,8 +550,7 @@ TEST(SupervisedCache, CorruptShardEntryFallsBackToColdAnalysis) {
   {
     support::MetricsRegistry registry;
     CacheManager cache(cache_options, &registry);
-    Supervisor sup(supervisedOptions(&cache), &registry);
-    cold_render = sup.run(files).render();
+    cold_render = supervisedRun(cache, registry, files).stdout_text;
   }
   // Truncate the single entry on disk.
   const std::string cmd = "for f in '" + cache_options.dir +
@@ -547,11 +562,10 @@ TEST(SupervisedCache, CorruptShardEntryFallsBackToColdAnalysis) {
     // manager's verify-on-open sweep, before any lookup reaches it.
     testing::internal::CaptureStderr();
     CacheManager cache(cache_options, &registry);
-    Supervisor sup(supervisedOptions(&cache), &registry);
-    const MergedReport merged = sup.run(files);
+    const RunOutput out = supervisedRun(cache, registry, files);
     EXPECT_NE(testing::internal::GetCapturedStderr().find("is corrupt"),
               std::string::npos);
-    EXPECT_EQ(merged.render(), cold_render);  // cold fallback, same result
+    EXPECT_EQ(out.stdout_text, cold_render);  // cold fallback, same result
     EXPECT_EQ(registry.counterValue("cache.corrupt"), 1u);
     EXPECT_EQ(registry.counterValue("supervisor.workers_spawned"), 1u);
     EXPECT_EQ(registry.counterValue("cache.writes"), 1u);  // re-stored

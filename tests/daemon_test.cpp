@@ -1,5 +1,5 @@
 // End-to-end tests for safeflowd: protocol round trips, byte-identity
-// of daemon responses with the one-shot supervised CLI, request
+// of daemon responses with the one-shot in-process CLI, request
 // coalescing, admission-control shedding, malformed-request tolerance,
 // SIGTERM drain, and crash-recovery (kill -9, restart, warm cache).
 //
@@ -47,13 +47,12 @@ std::string scratchSocket(const std::string& tag) {
          std::to_string(::getpid()) + ".sock";
 }
 
-/// The one-shot CLI reference the daemon must match byte for byte.
+/// The one-shot in-process CLI reference the daemon must match byte for
+/// byte.
 support::SubprocessResult oneShot(const std::vector<std::string>& files,
                                   const std::vector<std::string>& flags,
-                                  std::size_t jobs, bool json = false,
-                                  bool quiet = false) {
-  std::vector<std::string> argv = {SAFEFLOW_EXE, "--isolate", "--jobs",
-                                   std::to_string(jobs)};
+                                  bool json = false, bool quiet = false) {
+  std::vector<std::string> argv = {SAFEFLOW_EXE};
   if (json) argv.emplace_back("--json");
   if (quiet) argv.emplace_back("--quiet");
   argv.insert(argv.end(), flags.begin(), flags.end());
@@ -128,40 +127,41 @@ TEST(Daemon, StatusRoundTripAndCleanDrain) {
 TEST(Daemon, AnalyzeMatchesOneShotByteForByte) {
   const std::string socket = scratchSocket("bytes");
   const pid_t pid = spawnDaemon({"--socket", socket, "--no-cache",
-                                 "--jobs", "2", "--worker-exe",
-                                 SAFEFLOW_EXE});
+                                 "--worker-exe", SAFEFLOW_EXE});
   ASSERT_GT(pid, 0);
   ASSERT_TRUE(waitForSocket(socket));
 
-  for (const std::size_t jobs :
-       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+  // The whole program in one worker: the paper's cross-file data error
+  // (exit 1) comes back exactly as the in-process run prints it.
+  std::vector<std::string> flags = ipFlags();
+  flags.emplace_back("--kill-critical");
+  for (const bool quiet : {false, true}) {
     const support::SubprocessResult ref =
-        oneShot(ipCoreFiles(), ipFlags(), jobs);
+        oneShot(ipCoreFiles(), flags, /*json=*/false, quiet);
     ASSERT_EQ(ref.status, support::SubprocessResult::Status::kExited);
+    ASSERT_EQ(ref.exit_code, 1);
 
     const std::string response = rawRequest(
-        socket, analyzeRequest(ipCoreFiles(), ipFlags()), 120.0);
+        socket, analyzeRequest(ipCoreFiles(), flags, false, quiet), 120.0);
     const support::json::Value doc = parsed(response);
     ASSERT_EQ(doc.memberString("status"), "ok") << response;
-    // The daemon's worker pool width is fixed at spawn; the merge is
-    // deterministic across --jobs, so every reference matches anyway.
     EXPECT_EQ(doc.memberString("stdout"), ref.out_text);
     EXPECT_EQ(doc.memberString("stderr"), ref.err_text);
     EXPECT_EQ(static_cast<int>(doc.memberNumber("exit_code", -1)),
               ref.exit_code);
   }
 
-  // JSON + quiet modes hold too (JSON carries wall-clock fields, so
-  // compare with those lines stripped).
+  // JSON mode holds too (JSON carries wall-clock fields, so compare
+  // with those lines stripped).
   const support::SubprocessResult json_ref =
-      oneShot(ipCoreFiles(), ipFlags(), 2, /*json=*/true);
+      oneShot(ipCoreFiles(), flags, /*json=*/true);
   const std::string json_response = rawRequest(
-      socket,
-      analyzeRequest(ipCoreFiles(), ipFlags(), /*json=*/true), 120.0);
+      socket, analyzeRequest(ipCoreFiles(), flags, /*json=*/true), 120.0);
   const support::json::Value json_doc = parsed(json_response);
   ASSERT_EQ(json_doc.memberString("status"), "ok");
   EXPECT_EQ(stripTimes(json_doc.memberString("stdout")),
             stripTimes(json_ref.out_text));
+  EXPECT_EQ(static_cast<int>(json_doc.memberNumber("exit_code", -1)), 1);
 
   killDaemon(pid);
 }
@@ -172,7 +172,7 @@ TEST(Daemon, WarmCacheKeepsResponsesIdentical) {
                                 std::to_string(::getpid());
   const pid_t pid =
       spawnDaemon({"--socket", socket, "--cache-dir", cache_dir,
-                   "--jobs", "2", "--worker-exe", SAFEFLOW_EXE});
+                   "--worker-exe", SAFEFLOW_EXE});
   ASSERT_GT(pid, 0);
   ASSERT_TRUE(waitForSocket(socket));
 
@@ -180,17 +180,18 @@ TEST(Daemon, WarmCacheKeepsResponsesIdentical) {
   const std::string cold = rawRequest(socket, request, 120.0);
   const support::json::Value cold_doc = parsed(cold);
   ASSERT_EQ(cold_doc.memberString("status"), "ok");
+  // One whole-program entry: the cold request spawns one worker, the
+  // warm one is one hit and spawns none.
   EXPECT_EQ(cold_doc.memberUint("cache_hits"), 0u);
-  EXPECT_EQ(cold_doc.memberUint("workers_spawned"), ipCoreFiles().size());
+  EXPECT_EQ(cold_doc.memberUint("workers_spawned"), 1u);
 
   const std::string warm = rawRequest(socket, request, 120.0);
   const support::json::Value warm_doc = parsed(warm);
-  EXPECT_EQ(warm_doc.memberUint("cache_hits"), ipCoreFiles().size());
+  EXPECT_EQ(warm_doc.memberUint("cache_hits"), 1u);
   EXPECT_EQ(warm_doc.memberUint("workers_spawned"), 0u);
-  // The analysis payload is byte-identical: the cache replays the
-  // worker documents through the same merge/render path. (The envelope
-  // counters above differ by design — that is how a client tells a
-  // warm hit from a cold run.)
+  // The analysis payload is byte-identical: the cache stores the
+  // worker's rendered bytes. (The envelope counters above differ by
+  // design — that is how a client tells a warm hit from a cold run.)
   EXPECT_EQ(warm_doc.memberString("stdout"), cold_doc.memberString("stdout"));
   EXPECT_EQ(warm_doc.memberString("stderr"), cold_doc.memberString("stderr"));
   EXPECT_EQ(warm_doc.memberNumber("exit_code", -1.0),
@@ -362,9 +363,9 @@ TEST(Daemon, RestartAfterKillServesWarmHitsOnTheSameSocket) {
   const std::string socket = scratchSocket("restart");
   const std::string cache_dir = ::testing::TempDir() + "sfd_restart_cache_" +
                                 std::to_string(::getpid());
-  const std::vector<std::string> args = {
-      "--socket", socket,         "--cache-dir",  cache_dir,
-      "--jobs",   "2",            "--worker-exe", SAFEFLOW_EXE};
+  const std::vector<std::string> args = {"--socket",     socket,
+                                         "--cache-dir",  cache_dir,
+                                         "--worker-exe", SAFEFLOW_EXE};
   pid_t pid = spawnDaemon(args);
   ASSERT_GT(pid, 0);
   ASSERT_TRUE(waitForSocket(socket));
@@ -385,7 +386,7 @@ TEST(Daemon, RestartAfterKillServesWarmHitsOnTheSameSocket) {
   const std::string warm = rawRequest(socket, request, 120.0);
   const support::json::Value warm_doc = parsed(warm);
   ASSERT_EQ(warm_doc.memberString("status"), "ok");
-  EXPECT_EQ(warm_doc.memberUint("cache_hits"), ipCoreFiles().size());
+  EXPECT_EQ(warm_doc.memberUint("cache_hits"), 1u);
   EXPECT_EQ(warm_doc.memberUint("workers_spawned"), 0u);
   EXPECT_EQ(warm_doc.memberString("stdout"),
             parsed(cold).memberString("stdout"));

@@ -1,17 +1,18 @@
-// Round-trip tests for the worker-protocol JSON serialization of
-// SafeFlowReport: every finding category, escape-heavy strings, and the
-// empty report must survive render -> parse -> merge with the text
-// rendering byte-identical to the in-process one. This is the contract
-// the incremental cache rests on — a cached entry replays through
-// mergeWorkerOutcomes, so anything the JSON loses the cache loses.
+// Round-trip tests for the output envelope a worker sends and the cache
+// stores (renderRunOutputMembers / decodeRunOutput): every finding
+// category, escape-heavy strings covering every byte value, and the
+// empty report must come back byte-identical in both renderings, with
+// the exit code and stats intact. This is the contract the supervised
+// path and the incremental cache rest on — they relay these bytes, so
+// anything the envelope loses every entry point loses.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "analysis/report.h"
+#include "safeflow/cache_manager.h"
 #include "safeflow/driver.h"
-#include "safeflow/supervisor.h"
 #include "support/json.h"
 #include "support/source_manager.h"
 
@@ -19,30 +20,42 @@ namespace {
 
 using namespace safeflow;
 
-/// Renders `report` the way a worker does, parses it back, and merges
-/// it as a single accepted shard — the exact path a cache hit takes.
-MergedReport roundTrip(const analysis::SafeFlowReport& report,
-                       const support::SourceManager& sm) {
-  SafeFlowStats stats;
-  stats.files = 1;
-  const std::string doc_text =
-      report.renderJson(sm, stats.renderJson(), /*worker_protocol=*/true);
-
+/// Encodes `out` as a worker envelope, parses it back and decodes it —
+/// the exact path a supervised run and a cache hit take.
+RunOutput roundTrip(const RunOutput& out) {
+  const std::string envelope = "{\n  \"safeflow_worker\": 1,\n  " +
+                               renderRunOutputMembers(out) + "\n}\n";
   support::json::Value doc;
   std::string err;
-  EXPECT_TRUE(support::json::parse(doc_text, &doc, &err)) << err;
+  EXPECT_TRUE(support::json::parse(envelope, &doc, &err)) << err;
+  RunOutput decoded;
+  EXPECT_TRUE(decodeRunOutput(doc, &decoded, &err)) << err;
+  return decoded;
+}
 
-  WorkerOutcome outcome;
-  outcome.accepted = true;
-  outcome.report = std::move(doc);
-  outcome.exit_code = exitCodeFor(report.dataErrorCount(),
-                                  !report.failed_files.empty(),
-                                  !report.degraded_phases.empty());
-  outcome.attempts = 1;
-  std::vector<WorkerOutcome> outcomes;
-  outcomes.push_back(std::move(outcome));
-  return mergeWorkerOutcomes({"roundtrip.c"}, outcomes,
-                             /*emit_stderr_headers=*/false);
+/// The text and JSON renderings of `report`, each through the envelope.
+void expectLossless(const analysis::SafeFlowReport& report,
+                    const support::SourceManager& sm,
+                    const std::string& stderr_text = {}) {
+  SafeFlowStats stats;
+  stats.files = 1;
+  stats.counters = {{"taint.body_analyses", 3}};
+  for (const std::string& rendered :
+       {report.render(sm), report.renderJson(sm, stats.renderJson())}) {
+    RunOutput out;
+    out.stdout_text = rendered;
+    out.stderr_text = stderr_text;
+    out.exit_code = exitCodeFor(report.dataErrorCount(),
+                                !report.failed_files.empty(),
+                                !report.degraded_phases.empty());
+    out.stats = stats;
+    const RunOutput back = roundTrip(out);
+    EXPECT_EQ(back.stdout_text, out.stdout_text);
+    EXPECT_EQ(back.stderr_text, out.stderr_text);
+    EXPECT_EQ(back.exit_code, out.exit_code);
+    EXPECT_EQ(back.stats.files, 1u);
+    EXPECT_EQ(back.stats.counters, stats.counters);
+  }
 }
 
 analysis::SafeFlowReport fullReport() {
@@ -88,42 +101,25 @@ TEST(ReportRoundTrip, AllCategoriesSurviveTheWorkerProtocol) {
   support::SourceManager sm;
   analysis::SafeFlowReport report = fullReport();
   report.deduplicate(sm);  // the driver always dedups before rendering
-
-  const MergedReport merged = roundTrip(report, sm);
-  EXPECT_EQ(merged.warnings.size(), 2u);
-  EXPECT_TRUE(merged.warnings[0].bytes_known);
-  EXPECT_EQ(merged.warnings[0].lo, 4);
-  EXPECT_EQ(merged.warnings[0].hi, 12);
-  EXPECT_FALSE(merged.warnings[1].bytes_known);
-  ASSERT_EQ(merged.errors.size(), 2u);
-  EXPECT_TRUE(merged.errors[0].data);
-  EXPECT_FALSE(merged.errors[1].data);
-  EXPECT_EQ(merged.errors[0].regions,
-            (std::vector<std::string>{"ground_link", "param_table"}));
-  EXPECT_EQ(merged.errors[0].sources.size(), 2u);
-  EXPECT_EQ(merged.restriction_violations.size(), 1u);
-  EXPECT_EQ(merged.asserts_checked, 7u);
-  EXPECT_EQ(merged.required_runtime_checks.size(), 1u);
-  EXPECT_EQ(merged.degraded_phases,
-            (std::vector<std::string>{"taint"}));
-  EXPECT_TRUE(merged.frontend_errors);  // failed_files => frontend errors
-  EXPECT_EQ(merged.dataErrorCount(), 1u);
-  EXPECT_EQ(merged.controlErrorCount(), 1u);
-
-  // The decisive check: the merged text rendering is byte-identical to
-  // the in-process rendering of the same report.
-  EXPECT_EQ(merged.render(), report.render(sm));
-  // Exit ladder: 1 data error beats frontend errors and degradation.
-  EXPECT_EQ(merged.exitCode(), 1);
+  const std::string text = report.render(sm);
+  ASSERT_NE(text.find("[runtime-check]"), std::string::npos);
+  ASSERT_NE(text.find("[partial]"), std::string::npos);
+  ASSERT_NE(text.find("DEGRADED"), std::string::npos);
+  expectLossless(report, sm, "unit.c:1:1: error: expected ')'\n");
 }
 
 TEST(ReportRoundTrip, EscapeHeavyStringsAreLossless) {
   support::SourceManager sm;
   analysis::SafeFlowReport report;
 
+  // Every byte value, NUL and the high half included, in every string
+  // field the renderings carry.
+  std::string every_byte;
+  for (int b = 0; b < 256; ++b) every_byte += static_cast<char>(b);
+
   analysis::UnsafeAccessWarning w;
   w.function = "fn\"with\\quotes";
-  w.region_name = "tab\there\nnewline";
+  w.region_name = "tab\there\nnewline" + every_byte;
   report.warnings = {w};
 
   analysis::RestrictionViolation v;
@@ -134,43 +130,28 @@ TEST(ReportRoundTrip, EscapeHeavyStringsAreLossless) {
   analysis::CriticalDependencyError e;
   e.function = "f";
   e.critical_value = "value\nwith\nnewlines";
-  e.region_names = {"region\\back\\slash"};
+  e.region_names = {"region\\back\\slash", every_byte};
   report.errors = {e};
   report.required_runtime_checks = {"check \"quoted\"\tname"};
 
-  const MergedReport merged = roundTrip(report, sm);
-  ASSERT_EQ(merged.warnings.size(), 1u);
-  EXPECT_EQ(merged.warnings[0].function, "fn\"with\\quotes");
-  EXPECT_EQ(merged.warnings[0].region, "tab\there\nnewline");
-  ASSERT_EQ(merged.restriction_violations.size(), 1u);
-  EXPECT_EQ(merged.restriction_violations[0].message,
-            std::string("ctrl:\x01\x1f end") + "\tand \"both\" \\ kinds");
-  ASSERT_EQ(merged.errors.size(), 1u);
-  EXPECT_EQ(merged.errors[0].critical, "value\nwith\nnewlines");
-  EXPECT_EQ(merged.errors[0].regions[0], "region\\back\\slash");
-  ASSERT_EQ(merged.required_runtime_checks.size(), 1u);
-  EXPECT_EQ(merged.required_runtime_checks[0], "check \"quoted\"\tname");
-  EXPECT_EQ(merged.render(), report.render(sm));
+  expectLossless(report, sm, "stderr " + every_byte + "\n");
 }
 
 TEST(ReportRoundTrip, EmptyReportStaysEmptyAndClean) {
   support::SourceManager sm;
   const analysis::SafeFlowReport report;
-  const MergedReport merged = roundTrip(report, sm);
-  EXPECT_TRUE(merged.warnings.empty());
-  EXPECT_TRUE(merged.errors.empty());
-  EXPECT_TRUE(merged.restriction_violations.empty());
-  EXPECT_TRUE(merged.required_runtime_checks.empty());
-  EXPECT_TRUE(merged.degraded_phases.empty());
-  EXPECT_TRUE(merged.failed_files.empty());
-  EXPECT_FALSE(merged.frontend_errors);
-  EXPECT_EQ(merged.exitCode(), 0);
-  EXPECT_EQ(merged.render(), report.render(sm));
+  expectLossless(report, sm);
+
+  RunOutput out;
+  out.stdout_text = report.render(sm);
+  const RunOutput back = roundTrip(out);
+  EXPECT_EQ(back.exit_code, 0);
+  EXPECT_TRUE(back.stderr_text.empty());
 }
 
 TEST(ReportRoundTrip, LocationsResolveThroughTheSourceManager) {
-  // With a live source manager the pre-rendered "file:line:col" strings
-  // must match what the in-process path prints.
+  // With a live source manager the rendered "file:line:col" strings are
+  // what crosses the envelope, byte for byte.
   support::SourceManager sm;
   const auto file = sm.addBuffer("unit.c", "int x;\nint y;\n");
   analysis::SafeFlowReport report;
@@ -179,11 +160,8 @@ TEST(ReportRoundTrip, LocationsResolveThroughTheSourceManager) {
   w.function = "f";
   w.region_name = "r";
   report.warnings = {w};
-
-  const MergedReport merged = roundTrip(report, sm);
-  ASSERT_EQ(merged.warnings.size(), 1u);
-  EXPECT_EQ(merged.warnings[0].location, "unit.c:2:5");
-  EXPECT_EQ(merged.render(), report.render(sm));
+  ASSERT_NE(report.render(sm).find("unit.c:2:5"), std::string::npos);
+  expectLossless(report, sm);
 }
 
 }  // namespace

@@ -342,41 +342,35 @@ TEST(SupervisedSummaries, ShardsShareOneStoreAndStayByteIdentical) {
                  "int first_unit(void) { return helper(1); }\n");
   writeFile(two, "int second_unit(void) { return 2; }\n");
 
+  // Every supervised run's worker shares one on-disk store.
   const std::string sum_dir = freshDir("sup_sum_store");
-  auto runSupervised = [&](int jobs) {
+  auto runSupervised = [&](std::vector<std::string> worker_args) {
     SupervisorOptions opts;
     opts.worker_exe = SAFEFLOW_EXE;
-    opts.jobs = jobs;
     opts.worker_timeout_seconds = 60.0;
-    opts.worker_args = {"--summaries-dir", sum_dir};
+    opts.worker_args = std::move(worker_args);
     support::MetricsRegistry registry;
     Supervisor sup(opts, &registry);
-    const MergedReport merged = sup.run({one, two});
-    EXPECT_EQ(merged.exitCode(), 0);
-    return merged.render();
+    const SupervisedRun run = sup.run({one, two});
+    EXPECT_FALSE(run.failure.has_value());
+    EXPECT_EQ(run.output.exit_code, 0);
+    return run.output.stdout_text;
   };
+  const std::vector<std::string> with_store = {"--summaries-dir", sum_dir};
 
-  const std::string cold = runSupervised(2);
-  // The workers persisted their summaries into the shared dir.
+  const std::string cold = runSupervised(with_store);
+  // The worker persisted its summaries into the shared dir.
   SummaryStore probe(sum_dir, kAnalyzerVersion);
   EXPECT_GT(probe.diskBytes(), 0u);
 
-  // Warm, across job counts: byte-identical to the cold merge.
-  EXPECT_EQ(runSupervised(1), cold);
-  EXPECT_EQ(runSupervised(4), cold);
+  // Warm: byte-identical to the cold run.
+  EXPECT_EQ(runSupervised(with_store), cold);
 
-  // Editing one TU leaves the merged report equal to a no-summaries
-  // control run over the edited sources.
+  // Editing one TU leaves the report equal to a no-summaries control run
+  // over the edited sources.
   writeFile(one, "int helper(int x) { return x + 7; }\n"
                  "int first_unit(void) { return helper(1); }\n");
-  const std::string warm_after_edit = runSupervised(2);
-  SupervisorOptions control;
-  control.worker_exe = SAFEFLOW_EXE;
-  control.jobs = 2;
-  control.worker_timeout_seconds = 60.0;
-  support::MetricsRegistry registry;
-  Supervisor sup(control, &registry);
-  EXPECT_EQ(warm_after_edit, sup.run({one, two}).render());
+  EXPECT_EQ(runSupervised(with_store), runSupervised({}));
 }
 
 TEST(SupervisedSummaries, VerifyModeStaysGreenOnTheCorpus) {
@@ -384,7 +378,6 @@ TEST(SupervisedSummaries, VerifyModeStaysGreenOnTheCorpus) {
   auto runSupervised = [&]() {
     SupervisorOptions opts;
     opts.worker_exe = SAFEFLOW_EXE;
-    opts.jobs = 4;
     opts.worker_timeout_seconds = 120.0;
     opts.worker_args = {"--summaries-dir", sum_dir, "--verify-summaries"};
     support::MetricsRegistry registry;
@@ -393,13 +386,13 @@ TEST(SupervisedSummaries, VerifyModeStaysGreenOnTheCorpus) {
                     kCorpus + "/ip/core/decision.c",
                     kCorpus + "/ip/core/safety.c"});
   };
-  const MergedReport cold = runSupervised();
-  // A verification failure exits the worker with code 2, which the
-  // merge surfaces as a non-zero exit.
-  EXPECT_EQ(cold.exitCode(), 0);
-  const MergedReport warm = runSupervised();
-  EXPECT_EQ(warm.exitCode(), 0);
-  EXPECT_EQ(warm.render(), cold.render());
+  const SupervisedRun cold = runSupervised();
+  // A verification failure exits the worker's run with code 2.
+  ASSERT_FALSE(cold.failure.has_value());
+  EXPECT_EQ(cold.output.exit_code, 0) << cold.output.stderr_text;
+  const SupervisedRun warm = runSupervised();
+  EXPECT_EQ(warm.output.exit_code, 0) << warm.output.stderr_text;
+  EXPECT_EQ(warm.output.stdout_text, cold.output.stdout_text);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Fault-injection soak for the analysis supervisor: many iterations of
-// randomized fault kind / pipeline phase / target shard / job count,
-// asserting the supervisor itself never crashes, failures are
-// attributed to exactly the faulted file, every other shard is still
-// analyzed, and the merged report stays deterministic.
+// randomized fault kind / pipeline phase / targeted input / retry
+// budget, asserting the supervisor itself never crashes, the dead
+// worker is classified with the right attempt count, and its output
+// never looks like a clean run: no findings summary, exit 2, and the
+// failure named on stderr.
 //
 // Iteration count defaults low so the suite stays fast locally; CI sets
 // SAFEFLOW_SOAK_ITERS=200 for the long soak. The random stream is a
@@ -60,15 +61,14 @@ TEST(SupervisorSoak, RandomizedFaultsNeverTakeDownTheSupervisor) {
                           "callgraph", "shm_propagation", "ranges",
                           "taint",     "report"};
 
-  // Fault-free baseline to compare shard survival against.
-  std::size_t clean_files = 0;
+  // Fault-free baseline: the worker's relayed output is the report.
   {
     SupervisorOptions opts;
     opts.worker_exe = SAFEFLOW_EXE;
     support::MetricsRegistry registry;
-    const MergedReport clean = Supervisor(opts, &registry).run(files);
-    ASSERT_TRUE(clean.worker_failures.empty());
-    clean_files = clean.stats.files;
+    const SupervisedRun clean = Supervisor(opts, &registry).run(files);
+    ASSERT_FALSE(clean.failure.has_value());
+    ASSERT_NE(clean.output.stdout_text.find("warning(s)"), std::string::npos);
   }
 
   Lcg rng(0x5afef10e);
@@ -82,7 +82,7 @@ TEST(SupervisorSoak, RandomizedFaultsNeverTakeDownTheSupervisor) {
 
     SupervisorOptions opts;
     opts.worker_exe = SAFEFLOW_EXE;
-    opts.jobs = 1 + rng.below(8);  // 1..8
+    opts.json = rng.below(2) == 1;
     opts.backoff_base_seconds = 0.001;
     // Hangs burn the full watchdog per attempt; keep both short.
     opts.max_retries = hang ? 0 : static_cast<int>(rng.below(3));
@@ -94,32 +94,27 @@ TEST(SupervisorSoak, RandomizedFaultsNeverTakeDownTheSupervisor) {
 
     support::MetricsRegistry registry;
     Supervisor sup(opts, &registry);
-    const MergedReport merged = sup.run(files);
+    const SupervisedRun run = sup.run(files);
 
     SCOPED_TRACE("iter " + std::to_string(iter) + ": " + kind + "@" +
-                 phase + " -> " + target + " jobs=" +
-                 std::to_string(opts.jobs));
-    // Exactly the faulted shard died, with the right attribution.
-    ASSERT_EQ(merged.worker_failures.size(), 1u);
-    EXPECT_EQ(merged.worker_failures[0].file, target);
+                 phase + " -> " + target +
+                 (opts.json ? " --json" : ""));
+    // The one worker died, with the right classification.
+    ASSERT_TRUE(run.failure.has_value());
     // A deterministic exit 2 is never retried; crash/oom/hang use the
     // full retry budget.
-    EXPECT_EQ(merged.worker_failures[0].attempts,
-              exit2 ? 1 : 1 + opts.max_retries);
-    ASSERT_EQ(merged.failed_files.size(), 1u);
-    EXPECT_EQ(merged.failed_files[0], target);
-    // A dead worker is a frontend-class loss: exit 2 unless data errors
-    // from surviving shards outrank it.
-    EXPECT_TRUE(merged.frontend_errors);
-    EXPECT_EQ(merged.exitCode(),
-              merged.dataErrorCount() > 0 ? 1 : 2);
-    // Every other shard completed its analysis.
-    EXPECT_EQ(merged.stats.files, clean_files - 1);
-    // The report renders without throwing and names the loss.
-    EXPECT_NE(merged.render().find("[failed]"), std::string::npos);
-    EXPECT_NE(merged.renderJson(merged.stats.renderJson())
-                  .find("\"worker_failures\""),
+    EXPECT_EQ(run.failure->attempts, exit2 ? 1 : 1 + opts.max_retries);
+    // A dead worker never looks like a clean run.
+    EXPECT_EQ(run.output.exit_code, 2);
+    EXPECT_EQ(run.output.stdout_text.find("warning(s)"), std::string::npos);
+    EXPECT_NE(run.output.stderr_text.find("analysis worker failed"),
               std::string::npos);
+    if (opts.json) {
+      EXPECT_NE(run.output.stdout_text.find("\"worker_failures\""),
+                std::string::npos);
+    } else {
+      EXPECT_TRUE(run.output.stdout_text.empty());
+    }
   }
 
   // After the whole soak: every child reaped, no zombies left behind.

@@ -1,7 +1,8 @@
 // Tests for the out-of-process analysis supervisor: worker exit/signal
 // classification, watchdog kills, retry policy (then-succeed and
-// exhausted), merge determinism across --jobs values, finding dedup,
-// the shared exit-code ladder, and the JSON reader the merge rests on.
+// exhausted), byte-for-byte relay of the in-process output, the failure
+// output of a dead worker, finding dedup, the exit-code ladder, and the
+// JSON reader the worker envelope rests on.
 //
 // These spawn the real `safeflow` binary (path injected by CMake as
 // SAFEFLOW_EXE) as workers, with faults aimed via the supervisor's
@@ -28,6 +29,7 @@
 #include "safeflow/supervisor.h"
 #include "support/json.h"
 #include "support/source_manager.h"
+#include "support/subprocess.h"
 
 namespace {
 
@@ -50,25 +52,6 @@ SupervisorOptions fastOptions() {
   opts.worker_timeout_seconds = 30.0;
   opts.backoff_base_seconds = 0.001;  // keep retry tests fast
   return opts;
-}
-
-/// Drops every line containing a wall-clock field so two documents can
-/// be compared for deterministic content ("modulo wall-clock fields").
-std::string stripTimes(const std::string& text) {
-  std::string out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line = text.substr(pos, eol - pos);
-    if (line.find("seconds") == std::string::npos &&
-        line.find("\"gauges\"") == std::string::npos) {
-      out += line;
-      out += '\n';
-    }
-    pos = eol + 1;
-  }
-  return out;
 }
 
 TEST(ExitCodeLadder, FrontendErrorsBeatDegraded) {
@@ -138,54 +121,57 @@ TEST(ReportDedup, DropsRepeatedFindingsKeepsFirst) {
   EXPECT_EQ(report.restriction_violations.size(), 2u);
 }
 
-TEST(Supervisor, CleanRunMatchesAcrossJobCounts) {
+TEST(Supervisor, CleanRunRelaysTheInProcessBytes) {
   const auto files = ipCoreFiles();
-  std::string renders[2];
-  std::string stats[2];
-  const std::size_t job_counts[2] = {1, 8};
-  for (int i = 0; i < 2; ++i) {
-    SupervisorOptions opts = fastOptions();
-    opts.jobs = job_counts[i];
-    support::MetricsRegistry registry;
-    Supervisor sup(opts, &registry);
-    const MergedReport merged = sup.run(files);
-    EXPECT_EQ(merged.exitCode(), 0);
-    EXPECT_TRUE(merged.worker_failures.empty());
-    EXPECT_EQ(merged.stats.files, files.size());
-    renders[i] = merged.render() +
-                 merged.renderJson(merged.stats.renderJson());
-    stats[i] = merged.stats.renderJson();
-    EXPECT_EQ(registry.counterValue("supervisor.workers_spawned"),
-              files.size());
-    EXPECT_EQ(registry.counterValue("supervisor.workers_retried"), 0u);
-  }
-  EXPECT_EQ(stripTimes(renders[0]), stripTimes(renders[1]));
-  EXPECT_EQ(stripTimes(stats[0]), stripTimes(stats[1]));
+  SupervisorOptions opts = fastOptions();
+  opts.worker_args = {"-I", kCorpus + "/ip/common", "--kill-critical"};
+  support::MetricsRegistry registry;
+  Supervisor sup(opts, &registry);
+  const SupervisedRun run = sup.run(files);
+  ASSERT_FALSE(run.failure.has_value());
+  EXPECT_EQ(registry.counterValue("supervisor.workers_spawned"), 1u);
+  EXPECT_EQ(registry.counterValue("supervisor.workers_retried"), 0u);
+  EXPECT_EQ(run.output.stats.files, files.size());
+  EXPECT_EQ(run.worker.attempts, 1);
+  EXPECT_GT(run.worker.max_rss_kb, 0u);
+
+  // The whole program in one worker: the relayed bytes are the
+  // in-process run's, including the cross-file data error.
+  std::vector<std::string> argv = {SAFEFLOW_EXE};
+  argv.insert(argv.end(), opts.worker_args.begin(), opts.worker_args.end());
+  argv.insert(argv.end(), files.begin(), files.end());
+  const support::SubprocessResult in_process = support::runSubprocess(argv);
+  ASSERT_EQ(in_process.status, support::SubprocessResult::Status::kExited);
+  EXPECT_EQ(run.output.stdout_text, in_process.out_text);
+  EXPECT_EQ(run.output.stderr_text, in_process.err_text);
+  EXPECT_EQ(run.output.exit_code, in_process.exit_code);
+  EXPECT_EQ(run.output.exit_code, 1);
 }
 
 TEST(Supervisor, WorkerSigsegvIsClassifiedAndAttributed) {
   const auto files = ipCoreFiles();
   SupervisorOptions opts = fastOptions();
-  opts.jobs = 4;
   opts.max_retries = 1;
   opts.extra_env = {{"SAFEFLOW_INJECT_FAULT", "crash@taint"},
                     {"SAFEFLOW_INJECT_FAULT_FILE", "decision.c"}};
   support::MetricsRegistry registry;
   Supervisor sup(opts, &registry);
-  const MergedReport merged = sup.run(files);
+  const SupervisedRun run = sup.run(files);
 
-  ASSERT_EQ(merged.worker_failures.size(), 1u);
-  EXPECT_NE(merged.worker_failures[0].file.find("decision.c"),
+  ASSERT_TRUE(run.failure.has_value());
+  EXPECT_EQ(run.failure->reason, "SIGSEGV");
+  EXPECT_EQ(run.failure->attempts, 2);  // 1 + max_retries
+  EXPECT_EQ(run.failure->lastPhase(), "taint");
+  EXPECT_EQ(run.output.exit_code, 2);
+  // A dead worker never looks like a clean run: no report, no summary.
+  EXPECT_TRUE(run.output.stdout_text.empty());
+  EXPECT_NE(run.output.stderr_text.find("SIGSEGV after 2 attempt(s)"),
+            std::string::npos)
+      << run.output.stderr_text;
+  EXPECT_NE(run.output.stderr_text.find("last phase 'taint'"),
             std::string::npos);
-  EXPECT_EQ(merged.worker_failures[0].reason, "SIGSEGV");
-  EXPECT_EQ(merged.worker_failures[0].attempts, 2);  // 1 + max_retries
-  ASSERT_EQ(merged.failed_files.size(), 1u);
-  EXPECT_TRUE(merged.frontend_errors);
-  EXPECT_EQ(merged.exitCode(), 2);
-  // Every other shard was analyzed to completion.
-  EXPECT_EQ(merged.stats.files, files.size() - 1);
   EXPECT_GE(registry.counterValue("supervisor.worker_crashes"), 2u);
-  EXPECT_EQ(registry.counterValue("supervisor.shards_failed"), 1u);
+  EXPECT_EQ(registry.counterValue("supervisor.workers_failed"), 1u);
 }
 
 TEST(Supervisor, OomEmulationIsClassifiedAsSigkill) {
@@ -196,9 +182,9 @@ TEST(Supervisor, OomEmulationIsClassifiedAsSigkill) {
   opts.extra_env = {{"SAFEFLOW_INJECT_FAULT", "oom@alias"}};
   support::MetricsRegistry registry;
   Supervisor sup(opts, &registry);
-  const MergedReport merged = sup.run(files);
-  ASSERT_EQ(merged.worker_failures.size(), 1u);
-  EXPECT_EQ(merged.worker_failures[0].reason, "SIGKILL");
+  const SupervisedRun run = sup.run(files);
+  ASSERT_TRUE(run.failure.has_value());
+  EXPECT_EQ(run.failure->reason, "SIGKILL");
 }
 
 TEST(Supervisor, WatchdogKillsHangingWorker) {
@@ -210,9 +196,9 @@ TEST(Supervisor, WatchdogKillsHangingWorker) {
   opts.extra_env = {{"SAFEFLOW_INJECT_FAULT", "hang@taint"}};
   support::MetricsRegistry registry;
   Supervisor sup(opts, &registry);
-  const MergedReport merged = sup.run(files);
-  ASSERT_EQ(merged.worker_failures.size(), 1u);
-  EXPECT_EQ(merged.worker_failures[0].reason, "timeout");
+  const SupervisedRun run = sup.run(files);
+  ASSERT_TRUE(run.failure.has_value());
+  EXPECT_EQ(run.failure->reason, "timeout");
   EXPECT_EQ(registry.counterValue("supervisor.workers_killed"), 1u);
 }
 
@@ -224,11 +210,11 @@ TEST(Supervisor, InjectedExit2WithoutReportIsNotRetried) {
   opts.extra_env = {{"SAFEFLOW_INJECT_FAULT", "exit2@frontend"}};
   support::MetricsRegistry registry;
   Supervisor sup(opts, &registry);
-  const MergedReport merged = sup.run(files);
-  ASSERT_EQ(merged.worker_failures.size(), 1u);
-  EXPECT_EQ(merged.worker_failures[0].reason, "exit 2 (no report)");
-  EXPECT_EQ(merged.worker_failures[0].attempts, 1);  // deterministic: no retry
-  EXPECT_EQ(merged.exitCode(), 2);
+  const SupervisedRun run = sup.run(files);
+  ASSERT_TRUE(run.failure.has_value());
+  EXPECT_EQ(run.failure->reason, "exit 2 (no report)");
+  EXPECT_EQ(run.failure->attempts, 1);  // deterministic: no retry
+  EXPECT_EQ(run.output.exit_code, 2);
 }
 
 TEST(Supervisor, RetryAfterCrashSucceeds) {
@@ -240,10 +226,10 @@ TEST(Supervisor, RetryAfterCrashSucceeds) {
                     {"SAFEFLOW_INJECT_FAULT_ATTEMPTS", "1"}};
   support::MetricsRegistry registry;
   Supervisor sup(opts, &registry);
-  const MergedReport merged = sup.run(files);
-  EXPECT_TRUE(merged.worker_failures.empty());
-  EXPECT_TRUE(merged.failed_files.empty());
-  EXPECT_EQ(merged.stats.files, 1u);
+  const SupervisedRun run = sup.run(files);
+  EXPECT_FALSE(run.failure.has_value());
+  EXPECT_EQ(run.output.stats.files, 1u);
+  EXPECT_EQ(run.worker.attempts, 2);
   EXPECT_EQ(registry.counterValue("supervisor.workers_retried"), 1u);
   EXPECT_EQ(registry.counterValue("supervisor.workers_spawned"), 2u);
   EXPECT_GE(registry.counterValue("supervisor.backoff_waits"), 1u);
@@ -254,19 +240,25 @@ TEST(Supervisor, RetryExhaustedRecordsFailureWithStderr) {
                                           "/running_example/core.c"};
   SupervisorOptions opts = fastOptions();
   opts.max_retries = 2;
+  opts.json = true;
   opts.extra_env = {{"SAFEFLOW_INJECT_FAULT", "crash@lowering"}};
   support::MetricsRegistry registry;
   Supervisor sup(opts, &registry);
-  const MergedReport merged = sup.run(files);
-  ASSERT_EQ(merged.worker_failures.size(), 1u);
-  EXPECT_EQ(merged.worker_failures[0].attempts, 3);
+  const SupervisedRun run = sup.run(files);
+  ASSERT_TRUE(run.failure.has_value());
+  EXPECT_EQ(run.failure->attempts, 3);
   EXPECT_EQ(registry.counterValue("supervisor.workers_spawned"), 3u);
-  // The captured-stderr channel and the text report both carry the loss.
-  EXPECT_NE(merged.diagnostics_text.find("worker stderr"),
-            std::string::npos);
-  EXPECT_NE(merged.render().find("[failed]"), std::string::npos);
-  EXPECT_NE(merged.renderJson({}).find("\"worker_failures\""),
-            std::string::npos);
+  // The captured stderr and the JSON document both carry the loss; the
+  // JSON carries no findings fields a reader could mistake for "clean".
+  EXPECT_NE(run.output.stderr_text.find("worker stderr"), std::string::npos);
+  support::json::Value doc;
+  ASSERT_TRUE(support::json::parse(run.output.stdout_text, &doc));
+  ASSERT_NE(doc.find("worker_failures"), nullptr);
+  EXPECT_EQ(doc.find("worker_failures")->array.size(), 1u);
+  EXPECT_EQ(doc.find("data_errors"), nullptr);
+  EXPECT_EQ(doc.find("warnings"), nullptr);
+  ASSERT_NE(doc.find("failed_files"), nullptr);
+  EXPECT_EQ(doc.find("failed_files")->array.size(), 1u);
 }
 
 TEST(Supervisor, SpawnFailureIsReportedNotRetried) {
@@ -275,16 +267,15 @@ TEST(Supervisor, SpawnFailureIsReportedNotRetried) {
   opts.max_retries = 3;
   support::MetricsRegistry registry;
   Supervisor sup(opts, &registry);
-  const MergedReport merged =
-      sup.run({kCorpus + "/running_example/core.c"});
-  ASSERT_EQ(merged.worker_failures.size(), 1u);
-  EXPECT_EQ(merged.worker_failures[0].attempts, 1);
-  EXPECT_EQ(merged.exitCode(), 2);
+  const SupervisedRun run = sup.run({kCorpus + "/running_example/core.c"});
+  ASSERT_TRUE(run.failure.has_value());
+  EXPECT_EQ(run.failure->attempts, 1);
+  EXPECT_EQ(run.output.exit_code, 2);
 }
 
 TEST(Supervisor, ParseFailureFileIsPartialNotDead) {
-  // A file with a syntax error: the worker exits 2 *with* a report
-  // (parser recovery), so the shard merges as [partial], not [failed].
+  // A file with a syntax error: the worker exits 2 *with* an envelope
+  // (parser recovery), so the run reports [partial], not a dead worker.
   const std::string bad = ::testing::TempDir() + "/sup_bad.c";
   {
     FILE* f = fopen(bad.c_str(), "w");
@@ -295,16 +286,17 @@ TEST(Supervisor, ParseFailureFileIsPartialNotDead) {
   SupervisorOptions opts = fastOptions();
   support::MetricsRegistry registry;
   Supervisor sup(opts, &registry);
-  const MergedReport merged =
+  const SupervisedRun run =
       sup.run({bad, kCorpus + "/running_example/core.c"});
-  EXPECT_TRUE(merged.worker_failures.empty());
-  ASSERT_EQ(merged.failed_files.size(), 1u);
-  EXPECT_EQ(merged.failed_files[0], bad);
-  EXPECT_TRUE(merged.frontend_errors);
-  EXPECT_EQ(merged.exitCode(), 2);
-  EXPECT_NE(merged.render().find("[partial]"), std::string::npos);
-  // The good shard still analyzed.
-  EXPECT_EQ(merged.stats.files, 2u);
+  EXPECT_FALSE(run.failure.has_value());
+  EXPECT_EQ(run.output.exit_code, 2);
+  EXPECT_NE(run.output.stdout_text.find("[partial] '" + bad + "'"),
+            std::string::npos)
+      << run.output.stdout_text;
+  // The parse diagnostics are relayed on stderr.
+  EXPECT_NE(run.output.stderr_text.find("sup_bad.c"), std::string::npos);
+  ASSERT_EQ(run.output.stats.failed_files.size(), 1u);
+  EXPECT_EQ(run.output.stats.failed_files[0], bad);
   ::remove(bad.c_str());
 }
 
@@ -339,7 +331,7 @@ TEST(Supervisor, ForwardedSigtermReapsWorkersAndExits143) {
   // attempt faults — no ATTEMPTS cap), the supervisor process takes a
   // SIGTERM, and the forwarding must (a) kill the hung worker rather
   // than orphan it and (b) exit promptly with the conventional
-  // 128+SIGTERM after emitting the partial report.
+  // 128+SIGTERM after naming the failure.
   const std::string marker =
       "sigterm_forward_" + std::to_string(::getpid()) + ".c";
   const std::string input = ::testing::TempDir() + "/" + marker;
@@ -353,10 +345,9 @@ TEST(Supervisor, ForwardedSigtermReapsWorkersAndExits143) {
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     ::setenv("SAFEFLOW_INJECT_FAULT", "hang@taint", 1);
-    std::string store[] = {SAFEFLOW_EXE, "--isolate", "--jobs", "2",
-                           "--quiet",    input};
-    char* argv[7] = {};
-    for (int i = 0; i < 6; ++i) argv[i] = store[i].data();
+    std::string store[] = {SAFEFLOW_EXE, "--isolate", "--quiet", input};
+    char* argv[5] = {};
+    for (int i = 0; i < 4; ++i) argv[i] = store[i].data();
     ::execv(argv[0], argv);
     ::_exit(127);
   }
@@ -398,7 +389,6 @@ TEST(Supervisor, ForwardedSigtermReapsWorkersAndExits143) {
 
 TEST(Supervisor, NoZombiesSurviveARun) {
   SupervisorOptions opts = fastOptions();
-  opts.jobs = 4;
   support::MetricsRegistry registry;
   Supervisor sup(opts, &registry);
   (void)sup.run(ipCoreFiles());
