@@ -2,12 +2,17 @@
 // alias fixpoint: runs the in-process pipeline over the checked-in
 // corpus systems under --alias=legacy and --alias=andersen (best-of-N
 // wall time each) and solves a large synthetic pointer-churn module to
-// exercise the SCC condensation at scale. Emits BENCH_pointsto.json.
-// Exits non-zero when the run is invalid: a run degraded, the Andersen
-// engine resolved no more shm pointers than legacy (the precision it is
-// paid in), no cycles collapsed on the churn module, or the corpus
-// overhead exceeded the 15% budget. CI runs this and archives the JSON.
+// exercise the SCC condensation at scale, then times the alias phase on
+// pointerChurnProgram(N, 16) for N = 100..800 and fits the log-log
+// scaling exponent of alias time against points-to edges. Emits
+// BENCH_pointsto.json. Exits non-zero when the run is invalid: a run
+// degraded, the Andersen engine resolved no more shm pointers than
+// legacy (the precision it is paid in), no cycles collapsed on the churn
+// module, the corpus overhead exceeded the 15% budget, or the alias
+// phase scaled worse than edges^1.15. CI runs this and archives the
+// JSON.
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -51,6 +56,8 @@ std::vector<System> corpusSystems() {
 
 struct RunResult {
   double seconds = 0.0;
+  double alias_seconds = 0.0;
+  std::uint64_t edges = 0;
   bool degraded = false;
   std::uint64_t resolved = 0;
   std::uint64_t shm_resolved = 0;
@@ -66,7 +73,11 @@ RunResult measure(SafeFlowDriver& d) {
   RunResult r;
   r.seconds = std::chrono::duration<double>(end - start).count();
   r.degraded = d.degraded();
+  for (const auto& [phase, secs] : d.stats().phase_seconds) {
+    if (phase == "alias") r.alias_seconds = secs;
+  }
   const support::MetricsRegistry& m = d.metrics();
+  r.edges = m.counterValue("alias.points_to_edges");
   r.resolved = m.counterValue("alias.resolved_pointers");
   r.shm_resolved = m.counterValue("alias.shm_pointers_resolved");
   r.constraints = m.counterValue("pointsto.constraints");
@@ -112,6 +123,21 @@ RunResult runSynthetic(const std::string& src, bool andersen) {
     std::exit(1);
   }
   return measure(d);
+}
+
+// Least-squares slope of log(y) against log(x).
+double logLogSlope(const std::vector<double>& x, const std::vector<double>& y) {
+  const auto n = static_cast<double>(x.size());
+  double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double lx = std::log(x[i]);
+    const double ly = std::log(y[i]);
+    sx += lx;
+    sy += ly;
+    sxx += lx * lx;
+    sxy += lx * ly;
+  }
+  return (n * sxy - sx * sy) / (n * sxx - sx * sx);
 }
 
 }  // namespace
@@ -162,6 +188,34 @@ int main(int argc, char** argv) {
   const RunResult churn_andersen = runSynthetic(churn, /*andersen=*/true);
   degraded = degraded || churn_legacy.degraded || churn_andersen.degraded;
 
+  // Scaling: alias-phase time against points-to edges, best of 3 per
+  // size. The worklist solve should stay near-linear in the edges it
+  // produces.
+  constexpr double kExponentBudget = 1.15;
+  std::vector<double> scale_edges;
+  std::vector<double> scale_seconds;
+  std::vector<std::string> scale_points;
+  for (const int n : {100, 200, 400, 800}) {
+    const std::string src = bench::pointerChurnProgram(n, 16);
+    RunResult best = runSynthetic(src, /*andersen=*/true);
+    for (int i = 1; i < 3; ++i) {
+      const RunResult again = runSynthetic(src, /*andersen=*/true);
+      degraded = degraded || again.degraded;
+      if (again.alias_seconds < best.alias_seconds) best = again;
+    }
+    degraded = degraded || best.degraded;
+    scale_edges.push_back(static_cast<double>(best.edges));
+    scale_seconds.push_back(best.alias_seconds);
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "      {\"functions\": %d, \"alias_seconds\": %g, "
+                  "\"points_to_edges\": %llu}",
+                  n, best.alias_seconds,
+                  static_cast<unsigned long long>(best.edges));
+    scale_points.push_back(buf);
+  }
+  const double exponent = logLogSlope(scale_edges, scale_seconds);
+
   const double ratio =
       legacy_total > 0.0 ? andersen_total / legacy_total : 0.0;
   bool ok = true;
@@ -188,6 +242,11 @@ int main(int argc, char** argv) {
               << " exceeds budget " << kOverheadBudget << "\n";
     ok = false;
   }
+  if (!(exponent <= kExponentBudget)) {
+    std::cerr << "pointsto_micro: alias time scales as edges^" << exponent
+              << ", above the " << kExponentBudget << " budget\n";
+    ok = false;
+  }
 
   std::ofstream out(out_path, std::ios::trunc);
   out << "{\n"
@@ -208,6 +267,15 @@ int main(int argc, char** argv) {
       << "    \"scc_collapsed\": " << churn_andersen.collapsed << ",\n"
       << "    \"field_cells\": " << churn_andersen.field_cells << "\n"
       << "  },\n"
+      << "  \"scaling\": {\n"
+      << "    \"exponent\": " << exponent << ",\n"
+      << "    \"exponent_budget\": " << kExponentBudget << ",\n"
+      << "    \"points\": [\n";
+  for (std::size_t i = 0; i < scale_points.size(); ++i) {
+    out << scale_points[i] << (i + 1 < scale_points.size() ? ",\n" : "\n");
+  }
+  out << "    ]\n"
+      << "  },\n"
       << "  \"systems\": [\n";
   for (std::size_t i = 0; i < per_system.size(); ++i) {
     out << per_system[i] << (i + 1 < per_system.size() ? ",\n" : "\n");
@@ -220,11 +288,11 @@ int main(int argc, char** argv) {
   std::printf(
       "pointsto_micro: legacy %.3fs, andersen %.3fs, ratio %.3f, "
       "shm_resolved %llu vs %llu, churn %.3fs (%llu constraints, "
-      "%llu collapsed)\n",
+      "%llu collapsed), alias scaling exponent %.3f\n",
       legacy_total, andersen_total, ratio,
       static_cast<unsigned long long>(andersen_shm),
       static_cast<unsigned long long>(legacy_shm), churn_andersen.seconds,
       static_cast<unsigned long long>(churn_andersen.constraints),
-      static_cast<unsigned long long>(churn_andersen.collapsed));
+      static_cast<unsigned long long>(churn_andersen.collapsed), exponent);
   return ok ? 0 : 1;
 }

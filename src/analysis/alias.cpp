@@ -48,7 +48,7 @@ void AliasAnalysis::emitSharedCounters() const {
   std::size_t resolved = 0;
   std::size_t shm_resolved = 0;
   std::size_t field_precise = 0;
-  const auto tally = [&](const std::set<ObjId>& objs) {
+  const auto tally = [&](const ObjSet& objs) {
     edges += objs.size();
     bool any_unknown = false;
     bool any_region = false;
@@ -66,9 +66,9 @@ void AliasAnalysis::emitSharedCounters() const {
     if (any_field) ++field_precise;
   };
   if (solver_) {
-    for (const auto& [v, objs] : solver_->allPointsTo()) tally(objs);
+    for (const auto& [v, objs] : solver_->allPointsTo()) tally(*objs);
   } else {
-    for (const auto& [v, objs] : points_to_) tally(objs);
+    for (const auto& [v, objs] : legacy_results_) tally(objs);
   }
   SAFEFLOW_COUNT_N("alias.points_to_edges", edges);
   SAFEFLOW_COUNT_N("alias.resolved_pointers", resolved);
@@ -81,10 +81,10 @@ void AliasAnalysis::emitSharedCounters() const {
 // Facade dispatch
 // ---------------------------------------------------------------------------
 
-const std::set<ObjId>& AliasAnalysis::pointsTo(const ir::Value* v) const {
+const ObjSet& AliasAnalysis::pointsTo(const ir::Value* v) const {
   if (solver_) return solver_->pointsTo(v);
-  auto it = points_to_.find(v);
-  return it == points_to_.end() ? empty_ : it->second;
+  auto it = legacy_results_.find(v);
+  return it == legacy_results_.end() ? empty_ : it->second;
 }
 
 ObjId AliasAnalysis::parentOf(ObjId obj) const {
@@ -220,6 +220,12 @@ bool AliasAnalysis::addAll(const ir::Value* v, const std::set<ObjId>& objs) {
   return changed;
 }
 
+const std::set<ObjId>& AliasAnalysis::legacyPointsTo(
+    const ir::Value* v) const {
+  auto it = points_to_.find(v);
+  return it == points_to_.end() ? empty_set_ : it->second;
+}
+
 void AliasAnalysis::runLegacy() {
   std::size_t rounds = 0;
   bool live = true;
@@ -266,7 +272,7 @@ void AliasAnalysis::runLegacy() {
                              static_cast<const ir::GlobalVar*>(ptr)));
               }
               if (!inst->type()->isPointer()) break;
-              for (ObjId obj : pointsTo(ptr)) {
+              for (ObjId obj : legacyPointsTo(ptr)) {
                 changed |= addAll(inst.get(), contents_[obj]);
               }
               break;
@@ -280,9 +286,9 @@ void AliasAnalysis::runLegacy() {
               }
               const ir::Value* value = inst->operand(0);
               if (!value->type()->isPointer()) break;
-              const std::set<ObjId>& value_pts = pointsTo(value);
+              const std::set<ObjId>& value_pts = legacyPointsTo(value);
               if (value_pts.empty()) break;
-              for (ObjId obj : pointsTo(ptr)) {
+              for (ObjId obj : legacyPointsTo(ptr)) {
                 for (ObjId v : value_pts) {
                   changed |= contents_[obj].insert(v).second;
                 }
@@ -292,10 +298,10 @@ void AliasAnalysis::runLegacy() {
             case ir::Opcode::kCast:
             case ir::Opcode::kIndexAddr:
               // Arrays collapse: element pointer aliases the base object.
-              changed |= addAll(inst.get(), pointsTo(inst->operand(0)));
+              changed |= addAll(inst.get(), legacyPointsTo(inst->operand(0)));
               break;
             case ir::Opcode::kFieldAddr: {
-              for (ObjId base : pointsTo(inst->operand(0))) {
+              for (ObjId base : legacyPointsTo(inst->operand(0))) {
                 const ir::Type* ft =
                     inst->type()->isPointer()
                         ? static_cast<const cfront::PointerType*>(
@@ -309,7 +315,8 @@ void AliasAnalysis::runLegacy() {
             }
             case ir::Opcode::kPhi:
               for (std::size_t i = 0; i < inst->numOperands(); ++i) {
-                changed |= addAll(inst.get(), pointsTo(inst->operand(i)));
+                changed |=
+                    addAll(inst.get(), legacyPointsTo(inst->operand(i)));
               }
               break;
             case ir::Opcode::kCall: {
@@ -329,7 +336,7 @@ void AliasAnalysis::runLegacy() {
                   const std::size_t p = i - first_arg;
                   if (p >= target->args().size()) break;
                   changed |= addAll(target->args()[p].get(),
-                                    pointsTo(inst->operand(i)));
+                                    legacyPointsTo(inst->operand(i)));
                 }
                 // Returned pointers.
                 if (inst->type()->isPointer()) {
@@ -338,8 +345,8 @@ void AliasAnalysis::runLegacy() {
                     if (term != nullptr &&
                         term->opcode() == ir::Opcode::kRet &&
                         term->numOperands() == 1) {
-                      changed |=
-                          addAll(inst.get(), pointsTo(term->operand(0)));
+                      changed |= addAll(inst.get(),
+                                        legacyPointsTo(term->operand(0)));
                     }
                   }
                 }
@@ -377,6 +384,11 @@ void AliasAnalysis::runLegacy() {
     for (auto& [v, objs] : points_to_) objs.insert(unknown_);
     for (auto& [obj, objs] : contents_) objs.insert(unknown_);
   }
+  for (const auto& [v, objs] : points_to_) {
+    legacy_results_.emplace(v, ObjSet(objs.begin(), objs.end()));
+  }
+  points_to_.clear();
+  contents_.clear();
   SAFEFLOW_COUNT_N("alias.fixpoint_rounds", rounds);
 }
 

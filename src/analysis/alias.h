@@ -47,9 +47,11 @@ class AliasAnalysis {
   /// consumers treat partially-resolved pointers as unresolved (unsafe).
   void run();
 
-  /// Objects the pointer value may point at (empty when not a pointer or
-  /// nothing is known — treat as "no memory effect").
-  [[nodiscard]] const std::set<ObjId>& pointsTo(const ir::Value* v) const;
+  /// Objects the pointer value may point at, in ascending ObjId order
+  /// (empty when not a pointer or nothing is known — treat as "no memory
+  /// effect"). Under the Andersen engine equal sets share one interned
+  /// ObjSet, so its address identifies the set for per-run caches.
+  [[nodiscard]] const ObjSet& pointsTo(const ir::Value* v) const;
 
   /// The shm region an object denotes, or -1.
   [[nodiscard]] int regionOf(ObjId obj) const;
@@ -112,6 +114,7 @@ class AliasAnalysis {
 
   bool addPointsTo(const ir::Value* v, ObjId obj);
   bool addAll(const ir::Value* v, const std::set<ObjId>& objs);
+  const std::set<ObjId>& legacyPointsTo(const ir::Value* v) const;
 
   /// The pre-0.9.0 ad-hoc flow-insensitive fixpoint (--alias=legacy).
   void runLegacy();
@@ -134,9 +137,13 @@ class AliasAnalysis {
   std::map<int, ObjId> region_objects_;
   ObjId unknown_ = -1;
 
+  // Working sets of the legacy fixpoint, converted to ObjSet results
+  // once at the end of runLegacy.
   std::map<const ir::Value*, std::set<ObjId>> points_to_;
   std::map<ObjId, std::set<ObjId>> contents_;
-  std::set<ObjId> empty_;
+  std::set<ObjId> empty_set_;
+  std::map<const ir::Value*, ObjSet> legacy_results_;
+  ObjSet empty_;
 };
 
 }  // namespace safeflow::analysis

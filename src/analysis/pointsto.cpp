@@ -1,9 +1,9 @@
 #include "analysis/pointsto.h"
 
 #include <algorithm>
-#include <tuple>
 
 #include "cfront/types.h"
+#include "support/cache.h"
 #include "support/metrics.h"
 
 namespace safeflow::analysis {
@@ -22,6 +22,85 @@ std::int64_t pointeeSize(const ir::Value* v) {
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Word-sparse bitsets
+// ---------------------------------------------------------------------------
+
+std::size_t WordSet::seek(std::size_t from, std::uint32_t index) const {
+  if (from >= words_.size() || words_[from].index >= index) return from;
+  const auto it = std::lower_bound(
+      words_.begin() + static_cast<std::ptrdiff_t>(from), words_.end(), index,
+      [](const Word& w, std::uint32_t i) { return w.index < i; });
+  return static_cast<std::size_t>(it - words_.begin());
+}
+
+bool WordSet::insert(ObjId obj) {
+  const auto index = static_cast<std::uint32_t>(obj) / 64;
+  const std::uint64_t bit = std::uint64_t{1}
+                            << (static_cast<unsigned>(obj) % 64);
+  const auto it =
+      words_.begin() + static_cast<std::ptrdiff_t>(seek(0, index));
+  if (it != words_.end() && it->index == index) {
+    if ((it->bits & bit) != 0) return false;
+    it->bits |= bit;
+    return true;
+  }
+  words_.insert(it, Word{index, bit});
+  return true;
+}
+
+void WordSet::absorb(const WordSet& src, std::vector<Word>& added) {
+  added.clear();
+  bool missing = false;
+  std::size_t j = 0;
+  for (const Word& w : src.words_) {
+    j = seek(j, w.index);
+    if (j < words_.size() && words_[j].index == w.index) {
+      const std::uint64_t bits = w.bits & ~words_[j].bits;
+      if (bits == 0) continue;
+      words_[j].bits |= bits;
+      added.push_back(Word{w.index, bits});
+    } else {
+      added.push_back(w);
+      missing = true;
+    }
+  }
+  if (missing) add(added);
+}
+
+void WordSet::add(const std::vector<Word>& words) {
+  // OR into the words already present; count the ones that are not.
+  const std::size_t n = words_.size();
+  std::size_t extra = 0;
+  std::size_t j = 0;
+  for (const Word& w : words) {
+    j = seek(j, w.index);
+    if (j < n && words_[j].index == w.index) {
+      words_[j].bits |= w.bits;
+    } else {
+      ++extra;
+    }
+  }
+  if (extra == 0) return;
+  // Merge the missing words in from the back, in place.
+  words_.resize(n + extra);
+  auto i = static_cast<std::ptrdiff_t>(n) - 1;
+  auto k = static_cast<std::ptrdiff_t>(n + extra) - 1;
+  for (auto m = static_cast<std::ptrdiff_t>(words.size()) - 1; m >= 0;) {
+    const Word& w = words[static_cast<std::size_t>(m)];
+    if (i >= 0 && words_[static_cast<std::size_t>(i)].index >= w.index) {
+      if (words_[static_cast<std::size_t>(i)].index == w.index) --m;
+      words_[static_cast<std::size_t>(k--)] =
+          words_[static_cast<std::size_t>(i--)];
+    } else {
+      words_[static_cast<std::size_t>(k--)] = w;
+      --m;
+    }
+  }
+}
+
+void WordSet::unite(const WordSet& other) { add(other.words_); }
 
 PointsToSolver::PointsToSolver(const ir::Module& module,
                                const ShmRegionTable& regions,
@@ -49,6 +128,8 @@ PointsToSolver::PointsToSolver(const ir::Module& module,
 int PointsToSolver::newNode() {
   nodes_.emplace_back();
   rep_.push_back(static_cast<int>(nodes_.size()) - 1);
+  node_values_.push_back(nullptr);
+  if (nodes_.size() > worklist_.size() * 64) worklist_.push_back(0);
   return static_cast<int>(nodes_.size()) - 1;
 }
 
@@ -57,6 +138,7 @@ int PointsToSolver::valueNode(const ir::Value* v) {
   if (it != value_nodes_.end()) return it->second;
   const int n = newNode();
   value_nodes_.emplace(v, n);
+  node_values_[static_cast<std::size_t>(n)] = v;
   return n;
 }
 
@@ -78,6 +160,25 @@ int PointsToSolver::find(int n) {
   return n;
 }
 
+void PointsToSolver::enqueue(int node) {
+  const auto word = static_cast<std::size_t>(node) / 64;
+  const std::uint64_t bit = std::uint64_t{1} << (node % 64);
+  if ((worklist_[word] & bit) != 0) return;
+  worklist_[word] |= bit;
+  ++worklist_size_;
+  worklist_min_ = std::min(worklist_min_, word);
+}
+
+int PointsToSolver::dequeue() {
+  while (worklist_[worklist_min_] == 0) ++worklist_min_;
+  std::uint64_t& bits = worklist_[worklist_min_];
+  const int node =
+      static_cast<int>(worklist_min_ * 64) + std::countr_zero(bits);
+  bits &= bits - 1;
+  --worklist_size_;
+  return node;
+}
+
 int PointsToSolver::unite(int a, int b) {
   a = find(a);
   b = find(b);
@@ -86,8 +187,12 @@ int PointsToSolver::unite(int a, int b) {
   if (b < a) std::swap(a, b);
   Node& na = nodes_[static_cast<std::size_t>(a)];
   Node& nb = nodes_[static_cast<std::size_t>(b)];
-  for (int s : nb.succs) na.succs.insert(s);
-  for (ObjId o : nb.pts) na.pts.insert(o);
+  std::vector<int> succs;
+  succs.reserve(na.succs.size() + nb.succs.size());
+  std::set_union(na.succs.begin(), na.succs.end(), nb.succs.begin(),
+                 nb.succs.end(), std::back_inserter(succs));
+  na.succs = std::move(succs);
+  na.pts.unite(nb.pts);
   na.constraints.insert(na.constraints.end(), nb.constraints.begin(),
                         nb.constraints.end());
   // The adopted constraints have never seen the survivor's objects (and
@@ -95,7 +200,7 @@ int PointsToSolver::unite(int a, int b) {
   na.pending = na.pts;
   nb = Node{};
   rep_[static_cast<std::size_t>(b)] = a;
-  worklist_.insert(a);
+  enqueue(a);
   ++n_collapsed_;
   return a;
 }
@@ -104,25 +209,32 @@ bool PointsToSolver::addEdge(int from, int to) {
   from = find(from);
   to = find(to);
   if (from == to) return false;
-  if (!nodes_[static_cast<std::size_t>(from)].succs.insert(to).second) {
-    return false;
-  }
+  std::vector<int>& succs = nodes_[static_cast<std::size_t>(from)].succs;
+  const auto it = std::lower_bound(succs.begin(), succs.end(), to);
+  if (it != succs.end() && *it == to) return false;
+  succs.insert(it, to);
   edges_dirty_ = true;
   // A brand-new edge must carry everything already known at the source;
   // afterwards only deltas flow across it.
-  for (ObjId o : nodes_[static_cast<std::size_t>(from)].pts) {
-    addPts(to, o);
-  }
+  flowInto(to, nodes_[static_cast<std::size_t>(from)].pts);
   return true;
 }
 
 bool PointsToSolver::addPts(int node, ObjId obj) {
   node = find(node);
   Node& n = nodes_[static_cast<std::size_t>(node)];
-  if (!n.pts.insert(obj).second) return false;
+  if (!n.pts.insert(obj)) return false;
   n.pending.insert(obj);
-  worklist_.insert(node);
+  enqueue(node);
   return true;
+}
+
+void PointsToSolver::flowInto(int dst, const WordSet& src) {
+  Node& d = nodes_[static_cast<std::size_t>(dst)];
+  d.pts.absorb(src, scratch_);
+  if (scratch_.empty()) return;
+  d.pending.add(scratch_);
+  enqueue(dst);
 }
 
 // ---------------------------------------------------------------------------
@@ -199,9 +311,18 @@ ObjId PointsToSolver::objectForGlobal(const ir::GlobalVar* g) {
 
 ObjId PointsToSolver::cellFor(ObjId root, std::int64_t offset,
                               std::int64_t size) {
-  const auto key = std::make_tuple(root, offset, size);
-  auto it = cells_.find(key);
-  if (it != cells_.end()) return it->second;
+  // Each root keeps its cells ordered by (offset, size).
+  const auto key = std::make_pair(offset, size);
+  const auto before = [this](ObjId cell,
+                             std::pair<std::int64_t, std::int64_t> k) {
+    return extentOf(cell) < k;
+  };
+  {
+    const std::vector<ObjId>& cells =
+        objects_[static_cast<std::size_t>(root)].cells;
+    const auto it = std::lower_bound(cells.begin(), cells.end(), key, before);
+    if (it != cells.end() && extentOf(*it) == key) return *it;
+  }
   Object c;
   c.kind = ObjKind::kField;
   c.parent = root;
@@ -228,15 +349,17 @@ ObjId PointsToSolver::cellFor(ObjId root, std::int64_t offset,
   }
   c.name = objects_[static_cast<std::size_t>(root)].name + suffix;
   const ObjId id = internObject(std::move(c));
-  cells_.emplace(key, id);
+  std::vector<ObjId>& cells = objects_[static_cast<std::size_t>(root)].cells;
+  cells.insert(std::lower_bound(cells.begin(), cells.end(), key, before), id);
   ++n_cells_;
   // Link overlapping sibling cells (union punning, byte views): their
   // stored pointers are mutually visible, and consumers see siblings in
-  // the expanded points-to sets so taint crosses the pun.
-  for (const auto& [k2, sib] : cells_) {
-    if (std::get<0>(k2) != root || sib == id) continue;
-    const std::int64_t so = std::get<1>(k2);
-    const std::int64_t ss = std::get<2>(k2);
+  // the expanded points-to sets so taint crosses the pun. Only this
+  // root's cells can overlap, visited in (offset, size) order.
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const ObjId sib = cells[i];
+    if (sib == id) continue;
+    const auto [so, ss] = extentOf(sib);
     if (offset < so + ss && so < offset + size) {
       objects_[static_cast<std::size_t>(id)].overlaps.push_back(sib);
       objects_[static_cast<std::size_t>(sib)].overlaps.push_back(id);
@@ -301,7 +424,6 @@ void PointsToSolver::buildRegionObjects() {
       o.layout = static_cast<const cfront::StructType*>(rg.pointee_type);
     }
     const ObjId id = internObject(std::move(o));
-    region_objects_[rg.id] = id;
     // The declared global pointer variable holds a pointer to the region.
     if (rg.pointer_global != nullptr) {
       addPts(objNode(objectForGlobal(rg.pointer_global)), id);
@@ -322,7 +444,7 @@ void PointsToSolver::genInstruction(const ir::Instruction* inst) {
         const int dn = valueNode(inst);
         nodes_[static_cast<std::size_t>(pn)].constraints.push_back(
             Constraint{Constraint::Kind::kLoad, dn, 0, 0});
-        worklist_.insert(find(pn));
+        enqueue(find(pn));
         ++n_constraints_;
       }
       break;
@@ -332,7 +454,7 @@ void PointsToSolver::genInstruction(const ir::Instruction* inst) {
         const int vn = valueNode(inst->operand(0));
         nodes_[static_cast<std::size_t>(pn)].constraints.push_back(
             Constraint{Constraint::Kind::kStore, vn, 0, 0});
-        worklist_.insert(find(pn));
+        enqueue(find(pn));
         ++n_constraints_;
       }
       break;
@@ -351,7 +473,7 @@ void PointsToSolver::genInstruction(const ir::Instruction* inst) {
         const int dn = valueNode(inst);
         nodes_[static_cast<std::size_t>(pn)].constraints.push_back(
             Constraint{Constraint::Kind::kOffset, dn, k * elem, elem});
-        worklist_.insert(find(pn));
+        enqueue(find(pn));
       } else {
         // Variable index: the element pointer aliases the base cells.
         addEdge(valueNode(inst->operand(0)), valueNode(inst));
@@ -381,7 +503,7 @@ void PointsToSolver::genInstruction(const ir::Instruction* inst) {
         const int dn = valueNode(inst);
         nodes_[static_cast<std::size_t>(pn)].constraints.push_back(
             Constraint{Constraint::Kind::kOffset, dn, delta, fsize});
-        worklist_.insert(find(pn));
+        enqueue(find(pn));
       } else {
         addEdge(valueNode(base), valueNode(inst));
       }
@@ -540,20 +662,18 @@ void PointsToSolver::condense() {
 
 bool PointsToSolver::propagate() {
   edges_dirty_ = false;
-  while (!worklist_.empty() && live_) {
+  while (worklist_size_ > 0 && live_) {
     if (!support::budgetStep(budget_)) {
       live_ = false;
       break;
     }
     ++n_iterations_;
-    const int raw = *worklist_.begin();
-    worklist_.erase(worklist_.begin());
-    const int node = find(raw);
+    const int node = find(dequeue());
     // Difference propagation: only the objects that arrived since the
     // last visit flow through the constraints and copy edges. (A stale
     // entry for a merged node drains the representative's delta, which
     // is a superset of what the stale node owed.)
-    const std::set<ObjId> delta =
+    const WordSet delta =
         std::move(nodes_[static_cast<std::size_t>(node)].pending);
     nodes_[static_cast<std::size_t>(node)].pending.clear();
     if (delta.empty()) continue;
@@ -565,25 +685,24 @@ bool PointsToSolver::propagate() {
           nodes_[static_cast<std::size_t>(node)].constraints[ci];
       switch (c.kind) {
         case Constraint::Kind::kLoad:
-          for (ObjId o : delta) addEdge(objNode(o), c.other);
+          delta.forEach([&](ObjId o) { addEdge(objNode(o), c.other); });
           break;
         case Constraint::Kind::kStore:
-          for (ObjId o : delta) addEdge(c.other, objNode(o));
+          delta.forEach([&](ObjId o) { addEdge(c.other, objNode(o)); });
           break;
         case Constraint::Kind::kOffset:
-          for (ObjId o : delta) {
+          delta.forEach([&](ObjId o) {
             addPts(c.other, resolveOffset(o, c.delta, c.size));
-          }
+          });
           break;
       }
     }
-    // Push the delta along copy edges.
-    const std::set<int> succs =
-        nodes_[static_cast<std::size_t>(node)].succs;
-    for (int s0 : succs) {
+    // Push the delta along copy edges (no node is created from here on,
+    // so the successor list stays put).
+    for (const int s0 : nodes_[static_cast<std::size_t>(node)].succs) {
       const int s = find(s0);
       if (s == node) continue;
-      for (ObjId o : delta) addPts(s, o);
+      flowInto(s, delta);
     }
   }
   return edges_dirty_;
@@ -593,29 +712,64 @@ void PointsToSolver::degrade() {
   // The solve was cut short: sets may under-approximate. Widen every
   // tracked pointer and every object's contents with unknown so
   // consumers treat partially-resolved pointers as unresolved (unsafe).
-  for (const auto& [v, n] : value_nodes_) {
-    Node& node = nodes_[static_cast<std::size_t>(find(n))];
-    if (!node.pts.empty()) node.pts.insert(unknown_);
-  }
-  for (std::size_t i = 0; i < objects_.size(); ++i) {
-    if (objects_[i].node < 0) continue;
-    Node& node = nodes_[static_cast<std::size_t>(find(objects_[i].node))];
-    if (!node.pts.empty()) node.pts.insert(unknown_);
+  // Every node is a value or object-content node, so this visits every
+  // tracked pointer's representative.
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (rep_[i] != static_cast<int>(i)) continue;
+    if (!nodes_[i].pts.empty()) nodes_[i].pts.insert(unknown_);
   }
 }
 
 void PointsToSolver::finalize() {
-  for (const auto& [v, n] : value_nodes_) {
-    const std::set<ObjId>& pts =
-        nodes_[static_cast<std::size_t>(find(n))].pts;
+  // Expand each representative's set with overlap siblings once and
+  // intern it. Value nodes are visited in node-id order, so pool indices
+  // follow constraint generation, never heap addresses.
+  node_sets_.assign(nodes_.size(), -1);
+  std::vector<int> rep_sets(nodes_.size(), -1);
+  std::unordered_map<std::uint64_t, std::vector<int>> by_hash;
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    if (node_values_[n] == nullptr) continue;
+    const auto r = static_cast<std::size_t>(find(static_cast<int>(n)));
+    const WordSet& pts = nodes_[r].pts;
     if (pts.empty()) continue;
-    std::set<ObjId> out = pts;
-    for (ObjId o : pts) {
-      for (ObjId sib : objects_[static_cast<std::size_t>(o)].overlaps) {
-        out.insert(sib);
+    int& id = rep_sets[r];
+    if (id < 0) {
+      ObjSet out;
+      bool overlapping = false;
+      pts.forEach([&](ObjId o) {
+        out.push_back(o);
+        overlapping |= !objects_[static_cast<std::size_t>(o)].overlaps.empty();
+      });
+      if (overlapping) {
+        const std::size_t own = out.size();
+        for (std::size_t i = 0; i < own; ++i) {
+          const auto& sibs =
+              objects_[static_cast<std::size_t>(out[i])].overlaps;
+          out.insert(out.end(), sibs.begin(), sibs.end());
+        }
+        std::sort(out.begin(), out.end());
+        out.erase(std::unique(out.begin(), out.end()), out.end());
+      }
+      support::Fnv1a h;
+      h.update(std::string_view(reinterpret_cast<const char*>(out.data()),
+                                out.size() * sizeof(ObjId)));
+      std::vector<int>& bucket = by_hash[h.digest()];
+      for (const int cand : bucket) {
+        if (pool_[static_cast<std::size_t>(cand)] == out) id = cand;
+      }
+      if (id < 0) {
+        id = static_cast<int>(pool_.size());
+        bucket.push_back(id);
+        pool_.push_back(std::move(out));
       }
     }
-    exposed_[v] = std::move(out);
+    node_sets_[n] = id;
+  }
+  exposed_.clear();
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    if (node_sets_[n] < 0) continue;
+    exposed_.emplace_back(node_values_[n],
+                          &pool_[static_cast<std::size_t>(node_sets_[n])]);
   }
   SAFEFLOW_COUNT_N("pointsto.constraints", n_constraints_);
   SAFEFLOW_COUNT_N("pointsto.scc_collapsed", n_collapsed_);
@@ -641,9 +795,14 @@ void PointsToSolver::solve() {
 // Read API
 // ---------------------------------------------------------------------------
 
-const std::set<ObjId>& PointsToSolver::pointsTo(const ir::Value* v) const {
-  auto it = exposed_.find(v);
-  return it == exposed_.end() ? empty_ : it->second;
+const ObjSet& PointsToSolver::pointsTo(const ir::Value* v) const {
+  const auto it = value_nodes_.find(v);
+  if (it == value_nodes_.end() ||
+      static_cast<std::size_t>(it->second) >= node_sets_.size()) {
+    return empty_;
+  }
+  const int id = node_sets_[static_cast<std::size_t>(it->second)];
+  return id < 0 ? empty_ : pool_[static_cast<std::size_t>(id)];
 }
 
 ObjId PointsToSolver::parentOf(ObjId obj) const {

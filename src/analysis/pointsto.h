@@ -22,12 +22,19 @@
 // Degradation contract (AnalysisBudget): if the budget trips mid-solve,
 // every tracked pointer additionally points at the unknown object —
 // results only ever widen, never tighten.
+//
+// Representation: objects and nodes are dense ints. During the solve a
+// node's points-to and pending sets are word-sparse bitsets (WordSet), so
+// every inclusion step is one word-wise `new = src & ~dst` pass. Results
+// are interned: each distinct expanded set is stored once as a sorted
+// ObjSet in a pool filled in node-id order, so consumers iterate objects
+// in ascending ObjId order and nothing depends on heap addresses.
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,9 +46,46 @@
 namespace safeflow::analysis {
 
 using ObjId = int;
+/// A points-to result: sorted, unique object ids.
+using ObjSet = std::vector<ObjId>;
 
 struct PointsToOptions {
   bool field_sensitive = true;
+};
+
+/// A set of ObjIds as sorted (word index, 64-bit word) pairs holding only
+/// the non-zero words: memory follows the occupied words, and iteration
+/// yields ids in ascending order. The solver's points-to and pending sets.
+class WordSet {
+ public:
+  struct Word {
+    std::uint32_t index;
+    std::uint64_t bits;
+  };
+  [[nodiscard]] bool empty() const { return words_.empty(); }
+  void clear() { words_.clear(); }
+  /// Adds one id; true when it was not present.
+  bool insert(ObjId obj);
+  /// The word-wise difference step: `added = src & ~*this`, then
+  /// `*this |= added`.
+  void absorb(const WordSet& src, std::vector<Word>& added);
+  /// ORs sorted words into the set.
+  void add(const std::vector<Word>& words);
+  void unite(const WordSet& other);
+  template <typename F>
+  void forEach(F&& f) const {
+    for (const Word& w : words_) {
+      for (std::uint64_t b = w.bits; b != 0; b &= b - 1) {
+        f(static_cast<ObjId>(w.index * 64 + std::countr_zero(b)));
+      }
+    }
+  }
+
+ private:
+  /// First position at or after `from` whose word index is >= index.
+  [[nodiscard]] std::size_t seek(std::size_t from, std::uint32_t index) const;
+
+  std::vector<Word> words_;
 };
 
 class PointsToSolver {
@@ -59,7 +103,7 @@ class PointsToSolver {
   /// pointsto.* counters.
   void solve();
 
-  [[nodiscard]] const std::set<ObjId>& pointsTo(const ir::Value* v) const;
+  [[nodiscard]] const ObjSet& pointsTo(const ir::Value* v) const;
 
   [[nodiscard]] int regionOf(ObjId obj) const;
   [[nodiscard]] std::vector<ObjId> objectsOfRegion(int region_id) const;
@@ -82,12 +126,16 @@ class PointsToSolver {
   }
   /// True when the budget tripped mid-solve (results were widened).
   [[nodiscard]] bool degraded() const { return degraded_; }
-  /// Every value with a non-empty (expanded) points-to set — the feed
-  /// for the adapter's precision counters.
-  [[nodiscard]] const std::map<const ir::Value*, std::set<ObjId>>&
-  allPointsTo() const {
+  /// Every value with a non-empty (expanded) points-to set, in node-id
+  /// order, each pointing into pool() — the feed for the adapter's
+  /// precision counters.
+  using ValuePointsTo = std::pair<const ir::Value*, const ObjSet*>;
+  [[nodiscard]] const std::vector<ValuePointsTo>& allPointsTo() const {
     return exposed_;
   }
+  /// The distinct expanded points-to sets, each stored once, in the order
+  /// their first value node appears.
+  [[nodiscard]] const std::vector<ObjSet>& pool() const { return pool_; }
 
  private:
   struct Object {
@@ -107,6 +155,8 @@ class PointsToSolver {
     // Cells of the same root whose byte ranges intersect this one
     // (union punning, misaligned views). Kept sorted/deduped.
     std::vector<ObjId> overlaps;
+    // Root objects: their cells, ordered by (offset, size).
+    std::vector<ObjId> cells;
   };
 
   // A complex constraint attached to the pointer node whose points-to
@@ -124,12 +174,13 @@ class PointsToSolver {
   };
 
   struct Node {
-    std::set<int> succs;  // copy edges (inclusion: succ ⊇ this)
-    std::set<ObjId> pts;
+    // Copy edges (inclusion: succ ⊇ this), sorted and deduplicated.
+    std::vector<int> succs;
+    WordSet pts;
     // Difference propagation: objects added to pts but not yet pushed
     // through this node's constraints and copy edges. Each (constraint,
     // object) pair fires once; a full refire happens only on SCC merge.
-    std::set<ObjId> pending;
+    WordSet pending;
     std::vector<Constraint> constraints;
   };
 
@@ -137,10 +188,14 @@ class PointsToSolver {
   int valueNode(const ir::Value* v);
   int objNode(ObjId obj);
   int find(int n);
+  void enqueue(int node);
+  int dequeue();
   /// Union-find merge of two representatives; returns the survivor.
   int unite(int a, int b);
   bool addEdge(int from, int to);
   bool addPts(int node, ObjId obj);
+  /// dst.pts ⊇ src: one word-wise pass; new ids also enter dst.pending.
+  void flowInto(int dst, const WordSet& src);
 
   ObjId internObject(Object obj);
   ObjId objectForAlloca(const ir::Instruction* alloca);
@@ -170,20 +225,27 @@ class PointsToSolver {
   std::vector<Object> objects_;
   std::vector<Node> nodes_;
   std::vector<int> rep_;  // union-find forest over nodes_
-  std::map<const ir::Value*, int> value_nodes_;
-  std::map<const ir::Value*, ObjId> value_objects_;
-  std::map<std::tuple<ObjId, std::int64_t, std::int64_t>, ObjId> cells_;
-  std::map<int, ObjId> region_objects_;
+  std::unordered_map<const ir::Value*, int> value_nodes_;
+  // The value each node stands for (null for object content nodes).
+  std::vector<const ir::Value*> node_values_;
+  std::unordered_map<const ir::Value*, ObjId> value_objects_;
   ObjId unknown_ = -1;
 
-  std::set<int> worklist_;
+  // One bit per queued node: pops the lowest queued node id first, each
+  // queued node once. No bit below word worklist_min_ is set.
+  std::vector<std::uint64_t> worklist_;
+  std::size_t worklist_min_ = 0;
+  std::size_t worklist_size_ = 0;
+  std::vector<WordSet::Word> scratch_;  // flowInto's newly added words
   bool live_ = true;
   bool degraded_ = false;
   bool edges_dirty_ = false;
 
-  // Final per-value view (points-to sets expanded with overlap siblings).
-  std::map<const ir::Value*, std::set<ObjId>> exposed_;
-  std::set<ObjId> empty_;
+  // Final view: points-to sets expanded with overlap siblings, interned.
+  std::vector<ObjSet> pool_;
+  std::vector<int> node_sets_;  // pool index per value node, or -1
+  std::vector<ValuePointsTo> exposed_;
+  ObjSet empty_;
 
   // Counter feeds for --stats-json (pointsto.* namespace).
   std::size_t n_constraints_ = 0;

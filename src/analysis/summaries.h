@@ -94,9 +94,10 @@ class ModuleIndex {
 /// Digest-building helpers shared by the phases: every token is followed
 /// by a unit separator so adjacent fields can never alias ("ab"+"c" vs
 /// "a"+"bc").
+inline constexpr std::string_view kTokenSeparator = "\x1f";
 inline void hashToken(support::Fnv1a& h, std::string_view s) {
   h.update(s);
-  h.update("\x1f");
+  h.update(kTokenSeparator);
 }
 /// Numbers hash as fixed-width little-endian bytes: self-delimiting
 /// without a separator and, unlike std::to_string, allocation-free —

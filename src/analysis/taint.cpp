@@ -774,10 +774,13 @@ std::map<std::string, ObjId> TaintAnalysis::memoFootprint(
   // of some operand (stores/loads/receive buffers) or its ancestor chain
   // (loadTaint walks parents). Operands — not just function-local values —
   // because a store through a global pointer writes that global's object.
-  std::set<ObjId> objs;
-  const auto add_chain = [this, &objs](ObjId base) {
+  std::vector<ObjId> objs;
+  std::vector<char> seen(alias_.objectCount(), 0);
+  const auto add_chain = [this, &objs, &seen](ObjId base) {
     for (ObjId obj = base; obj >= 0; obj = alias_.parentOf(obj)) {
-      if (!objs.insert(obj).second) break;
+      if (seen[static_cast<std::size_t>(obj)] != 0) break;
+      seen[static_cast<std::size_t>(obj)] = 1;
+      objs.push_back(obj);
     }
   };
   for (const auto& bb : fn.blocks()) {
@@ -789,10 +792,31 @@ std::map<std::string, ObjId> TaintAnalysis::memoFootprint(
     }
   }
   std::map<std::string, ObjId> named;
-  for (const ObjId obj : objs) {
-    named.emplace(stableObjectName(alias_, *memo_.index, obj), obj);
-  }
+  for (const ObjId obj : objs) named.emplace(memoObjectName(obj), obj);
   return named;
+}
+
+const std::string& TaintAnalysis::memoObjectName(ObjId obj) const {
+  memo_object_names_.resize(alias_.objectCount());
+  std::string& name = memo_object_names_[static_cast<std::size_t>(obj)];
+  if (name.empty()) name = stableObjectName(alias_, *memo_.index, obj);
+  return name;
+}
+
+const std::string& TaintAnalysis::memoSetNames(const ObjSet& objs) const {
+  const auto [it, inserted] = memo_set_names_.try_emplace(&objs);
+  if (!inserted) return it->second;
+  std::vector<const std::string*> names;
+  names.reserve(objs.size());
+  for (const ObjId obj : objs) names.push_back(&memoObjectName(obj));
+  std::sort(names.begin(), names.end(),
+            [](const std::string* a, const std::string* b) { return *a < *b; });
+  std::string& bytes = it->second;
+  for (const std::string* n : names) {
+    bytes += *n;
+    bytes += kTokenSeparator;
+  }
+  return bytes;
 }
 
 // The phase-constant half of the input digest. Everything here is fixed
@@ -860,14 +884,9 @@ const TaintAnalysis::MemoStatics& TaintAnalysis::memoStatics(
       for (const ir::Value* op : inst->operands()) {
         const auto& pts = alias_.pointsTo(op);
         if (pts.empty()) continue;
-        std::vector<std::string> names;
-        names.reserve(pts.size());
-        for (const ObjId obj : pts) {
-          names.push_back(stableObjectName(alias_, index, obj));
-        }
-        std::sort(names.begin(), names.end());
-        hashUint(h, names.size());
-        for (const std::string& n : names) hashToken(h, n);
+        // Same bytes as hashToken over each sorted name.
+        hashUint(h, pts.size());
+        h.update(memoSetNames(pts));
       }
     }
   }

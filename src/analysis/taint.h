@@ -28,6 +28,9 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "analysis/alias.h"
 #include "analysis/control_dep.h"
@@ -187,6 +190,13 @@ class TaintAnalysis {
   };
   const MemoStatics& memoStatics(const ir::Function& fn,
                                  const AssumptionSet& assumptions) const;
+  /// stableObjectName(obj), computed once per run.
+  const std::string& memoObjectName(ObjId obj) const;
+  /// The digest bytes of one points-to set: its objects' stable names,
+  /// sorted, each followed by the token separator. Computed once per run
+  /// per set — equal sets share one interned ObjSet under the Andersen
+  /// engine, so most operands hit.
+  const std::string& memoSetNames(const ObjSet& objs) const;
   /// Cross-run stable 64-bit name of a taint source instruction
   /// ((owner function, position) folded through fnv), cached per run.
   std::uint64_t memoRefHash(const ir::Instruction* inst) const;
@@ -244,6 +254,8 @@ class TaintAnalysis {
   /// facts and effective assumptions are fixed inputs of this phase).
   mutable std::map<const ir::Function*, MemoStatics> memo_statics_;
   mutable std::map<const ir::Instruction*, std::uint64_t> memo_ref_hash_;
+  mutable std::vector<std::string> memo_object_names_;  // by ObjId
+  mutable std::unordered_map<const ObjSet*, std::string> memo_set_names_;
   /// Branches / phi edges pruned via the range analysis. Sets (not raw
   /// counters) so fixpoint revisits count each edge once and the metric
   /// totals stay independent of iteration order.

@@ -8,11 +8,14 @@
 // --isolate and warm cache runs under --alias=andersen.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -65,6 +68,54 @@ std::vector<const ir::Instruction*> instructionsOf(const ir::Function* fn,
     }
   }
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Word-sparse bitsets
+// ---------------------------------------------------------------------------
+
+std::vector<analysis::ObjId> elements(const analysis::WordSet& s) {
+  std::vector<analysis::ObjId> out;
+  s.forEach([&](analysis::ObjId o) { out.push_back(o); });
+  return out;
+}
+
+TEST(WordSet, MatchesOrderedSetUnderRandomUnions) {
+  // Ids spread over a few hundred words so unions mix words both sets
+  // hold with words only one side holds, on either side of each other.
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<int> id(0, 64 * 300);
+  for (int round = 0; round < 200; ++round) {
+    analysis::WordSet dst;
+    analysis::WordSet src;
+    std::set<analysis::ObjId> want_dst;
+    std::set<analysis::ObjId> want_src;
+    const int n_dst = round % 40;
+    const int n_src = (round * 7) % 50;
+    for (int i = 0; i < n_dst; ++i) {
+      const int o = id(rng);
+      EXPECT_EQ(dst.insert(o), want_dst.insert(o).second);
+    }
+    for (int i = 0; i < n_src; ++i) {
+      const int o = id(rng);
+      EXPECT_EQ(src.insert(o), want_src.insert(o).second);
+    }
+    std::vector<analysis::WordSet::Word> added;
+    dst.absorb(src, added);
+    analysis::WordSet delta;
+    delta.add(added);
+    std::vector<analysis::ObjId> want_delta;
+    std::set_difference(want_src.begin(), want_src.end(), want_dst.begin(),
+                        want_dst.end(), std::back_inserter(want_delta));
+    EXPECT_EQ(elements(delta), want_delta);
+    want_dst.insert(want_src.begin(), want_src.end());
+    EXPECT_EQ(elements(dst), std::vector<analysis::ObjId>(want_dst.begin(),
+                                                          want_dst.end()));
+    analysis::WordSet merged = src;
+    merged.unite(dst);
+    EXPECT_EQ(elements(merged), elements(dst));
+    EXPECT_EQ(merged.empty(), want_dst.empty());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -185,7 +236,9 @@ int deref(void)
   bool resolved = false;
   for (const auto* ld : loads) {
     if (!ld->type()->isPointer()) continue;
-    if (solver.pointsTo(ld).count(*ta.begin()) != 0) resolved = true;
+    if (std::ranges::binary_search(solver.pointsTo(ld), *ta.begin())) {
+      resolved = true;
+    }
   }
   EXPECT_TRUE(resolved);
 }
@@ -303,7 +356,7 @@ int readBoth(void)
   ASSERT_FALSE(starved.allPointsTo().empty());
   for (const auto& [v, pts] : starved.allPointsTo()) {
     bool any_unknown = false;
-    for (auto o : pts) any_unknown |= starved.isUnknown(o);
+    for (auto o : *pts) any_unknown |= starved.isUnknown(o);
     EXPECT_TRUE(any_unknown) << "tight set survived budget exhaustion";
   }
 }
