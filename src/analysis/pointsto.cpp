@@ -1,9 +1,9 @@
 #include "analysis/pointsto.h"
 
 #include <algorithm>
+#include <set>
 
 #include "cfront/types.h"
-#include "support/cache.h"
 #include "support/metrics.h"
 
 namespace safeflow::analysis {
@@ -27,20 +27,12 @@ std::int64_t pointeeSize(const ir::Value* v) {
 // Word-sparse bitsets
 // ---------------------------------------------------------------------------
 
-std::size_t WordSet::seek(std::size_t from, std::uint32_t index) const {
-  if (from >= words_.size() || words_[from].index >= index) return from;
-  const auto it = std::lower_bound(
-      words_.begin() + static_cast<std::ptrdiff_t>(from), words_.end(), index,
-      [](const Word& w, std::uint32_t i) { return w.index < i; });
-  return static_cast<std::size_t>(it - words_.begin());
-}
-
 bool WordSet::insert(ObjId obj) {
   const auto index = static_cast<std::uint32_t>(obj) / 64;
   const std::uint64_t bit = std::uint64_t{1}
                             << (static_cast<unsigned>(obj) % 64);
   const auto it =
-      words_.begin() + static_cast<std::ptrdiff_t>(seek(0, index));
+      std::lower_bound(words_.begin(), words_.end(), index, byIndex);
   if (it != words_.end() && it->index == index) {
     if ((it->bits & bit) != 0) return false;
     it->bits |= bit;
@@ -50,57 +42,41 @@ bool WordSet::insert(ObjId obj) {
   return true;
 }
 
-void WordSet::absorb(const WordSet& src, std::vector<Word>& added) {
-  added.clear();
-  bool missing = false;
-  std::size_t j = 0;
+void WordSet::unite(const WordSet& src, WordSet* added) {
+  if (added != nullptr) added->words_.clear();
+  // One forward merge. Words both sets hold are ORed in place; the
+  // merged vector is only built once src holds a word this set lacks.
+  std::vector<Word> merged;
+  bool grown = false;
+  auto at = words_.begin();
   for (const Word& w : src.words_) {
-    j = seek(j, w.index);
-    if (j < words_.size() && words_[j].index == w.index) {
-      const std::uint64_t bits = w.bits & ~words_[j].bits;
-      if (bits == 0) continue;
-      words_[j].bits |= bits;
-      added.push_back(Word{w.index, bits});
-    } else {
-      added.push_back(w);
-      missing = true;
+    // Binary search, not a linear walk: a small delta skips over a
+    // large destination.
+    const auto next = std::lower_bound(at, words_.end(), w.index, byIndex);
+    if (grown) merged.insert(merged.end(), at, next);
+    at = next;
+    const bool shared = at != words_.end() && at->index == w.index;
+    const std::uint64_t fresh = shared ? w.bits & ~at->bits : w.bits;
+    if (fresh != 0 && added != nullptr) {
+      added->words_.push_back(Word{w.index, fresh});
     }
+    if (shared) {
+      at->bits |= fresh;
+      if (grown) merged.push_back(*at);
+      ++at;
+      continue;
+    }
+    if (!grown) {
+      merged.reserve(words_.size() + src.words_.size());
+      merged.assign(words_.begin(), at);
+      grown = true;
+    }
+    merged.push_back(w);
   }
-  if (missing) add(added);
+  if (!grown) return;
+  merged.insert(merged.end(), at, words_.end());
+  words_ = std::move(merged);
 }
-
-void WordSet::add(const std::vector<Word>& words) {
-  // OR into the words already present; count the ones that are not.
-  const std::size_t n = words_.size();
-  std::size_t extra = 0;
-  std::size_t j = 0;
-  for (const Word& w : words) {
-    j = seek(j, w.index);
-    if (j < n && words_[j].index == w.index) {
-      words_[j].bits |= w.bits;
-    } else {
-      ++extra;
-    }
-  }
-  if (extra == 0) return;
-  // Merge the missing words in from the back, in place.
-  words_.resize(n + extra);
-  auto i = static_cast<std::ptrdiff_t>(n) - 1;
-  auto k = static_cast<std::ptrdiff_t>(n + extra) - 1;
-  for (auto m = static_cast<std::ptrdiff_t>(words.size()) - 1; m >= 0;) {
-    const Word& w = words[static_cast<std::size_t>(m)];
-    if (i >= 0 && words_[static_cast<std::size_t>(i)].index >= w.index) {
-      if (words_[static_cast<std::size_t>(i)].index == w.index) --m;
-      words_[static_cast<std::size_t>(k--)] =
-          words_[static_cast<std::size_t>(i--)];
-    } else {
-      words_[static_cast<std::size_t>(k--)] = w;
-      --m;
-    }
-  }
-}
-
-void WordSet::unite(const WordSet& other) { add(other.words_); }
 
 PointsToSolver::PointsToSolver(const ir::Module& module,
                                const ShmRegionTable& regions,
@@ -231,9 +207,9 @@ bool PointsToSolver::addPts(int node, ObjId obj) {
 
 void PointsToSolver::flowInto(int dst, const WordSet& src) {
   Node& d = nodes_[static_cast<std::size_t>(dst)];
-  d.pts.absorb(src, scratch_);
+  d.pts.unite(src, &scratch_);
   if (scratch_.empty()) return;
-  d.pending.add(scratch_);
+  d.pending.unite(scratch_);
   enqueue(dst);
 }
 
@@ -726,7 +702,11 @@ void PointsToSolver::finalize() {
   // follow constraint generation, never heap addresses.
   node_sets_.assign(nodes_.size(), -1);
   std::vector<int> rep_sets(nodes_.size(), -1);
-  std::unordered_map<std::uint64_t, std::vector<int>> by_hash;
+  const auto by_contents = [this](int a, int b) {
+    return pool_[static_cast<std::size_t>(a)] <
+           pool_[static_cast<std::size_t>(b)];
+  };
+  std::set<int, decltype(by_contents)> interned(by_contents);
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     if (node_values_[n] == nullptr) continue;
     const auto r = static_cast<std::size_t>(find(static_cast<int>(n)));
@@ -750,18 +730,11 @@ void PointsToSolver::finalize() {
         std::sort(out.begin(), out.end());
         out.erase(std::unique(out.begin(), out.end()), out.end());
       }
-      support::Fnv1a h;
-      h.update(std::string_view(reinterpret_cast<const char*>(out.data()),
-                                out.size() * sizeof(ObjId)));
-      std::vector<int>& bucket = by_hash[h.digest()];
-      for (const int cand : bucket) {
-        if (pool_[static_cast<std::size_t>(cand)] == out) id = cand;
-      }
-      if (id < 0) {
-        id = static_cast<int>(pool_.size());
-        bucket.push_back(id);
-        pool_.push_back(std::move(out));
-      }
+      pool_.push_back(std::move(out));
+      const auto [it, fresh] =
+          interned.insert(static_cast<int>(pool_.size()) - 1);
+      if (!fresh) pool_.pop_back();
+      id = *it;
     }
     node_sets_[n] = id;
   }

@@ -58,20 +58,13 @@ struct PointsToOptions {
 /// yields ids in ascending order. The solver's points-to and pending sets.
 class WordSet {
  public:
-  struct Word {
-    std::uint32_t index;
-    std::uint64_t bits;
-  };
   [[nodiscard]] bool empty() const { return words_.empty(); }
   void clear() { words_.clear(); }
   /// Adds one id; true when it was not present.
   bool insert(ObjId obj);
-  /// The word-wise difference step: `added = src & ~*this`, then
-  /// `*this |= added`.
-  void absorb(const WordSet& src, std::vector<Word>& added);
-  /// ORs sorted words into the set.
-  void add(const std::vector<Word>& words);
-  void unite(const WordSet& other);
+  /// The word-wise difference step: `*this |= src`; when `added` is
+  /// given it receives `src & ~*this` as it was before.
+  void unite(const WordSet& src, WordSet* added = nullptr);
   template <typename F>
   void forEach(F&& f) const {
     for (const Word& w : words_) {
@@ -82,9 +75,13 @@ class WordSet {
   }
 
  private:
-  /// First position at or after `from` whose word index is >= index.
-  [[nodiscard]] std::size_t seek(std::size_t from, std::uint32_t index) const;
-
+  struct Word {
+    std::uint32_t index;
+    std::uint64_t bits;
+  };
+  static bool byIndex(const Word& w, std::uint32_t index) {
+    return w.index < index;
+  }
   std::vector<Word> words_;
 };
 
@@ -236,7 +233,7 @@ class PointsToSolver {
   std::vector<std::uint64_t> worklist_;
   std::size_t worklist_min_ = 0;
   std::size_t worklist_size_ = 0;
-  std::vector<WordSet::Word> scratch_;  // flowInto's newly added words
+  WordSet scratch_;  // flowInto's newly added words
   bool live_ = true;
   bool degraded_ = false;
   bool edges_dirty_ = false;

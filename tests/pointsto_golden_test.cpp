@@ -5,8 +5,8 @@
 // names of its expanded points-to set. The dumps are compared against
 // tests/golden/pointsto/<input>.txt, so any change in what a pointer may
 // reach — field cells, union overlap, cycle collapse, the degraded
-// widening — shows up as a diff. Set SAFEFLOW_UPDATE_GOLDENS=1 to rewrite
-// the goldens after an intended precision change.
+// widening — shows up as a diff. After an intended precision change, take
+// the new dump from the failure output and commit it as the golden.
 //
 // The last test solves the same source twice in one process, from two
 // separately built modules, and requires identical interned result
@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -124,10 +123,6 @@ void checkGolden(const std::string& name, const Input& in,
   const std::string got = dump(p, solver);
   ASSERT_FALSE(got.empty());
   const std::string path = kGoldenDir + "/" + name + ".txt";
-  if (std::getenv("SAFEFLOW_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream(path, std::ios::trunc) << got;
-    return;
-  }
   std::ifstream f(path);
   ASSERT_TRUE(f.good()) << "missing golden " << path;
   std::stringstream want;

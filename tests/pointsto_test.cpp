@@ -100,10 +100,8 @@ TEST(WordSet, MatchesOrderedSetUnderRandomUnions) {
       const int o = id(rng);
       EXPECT_EQ(src.insert(o), want_src.insert(o).second);
     }
-    std::vector<analysis::WordSet::Word> added;
-    dst.absorb(src, added);
     analysis::WordSet delta;
-    delta.add(added);
+    dst.unite(src, &delta);
     std::vector<analysis::ObjId> want_delta;
     std::set_difference(want_src.begin(), want_src.end(), want_dst.begin(),
                         want_dst.end(), std::back_inserter(want_delta));
