@@ -1,16 +1,13 @@
-// Overhead and precision of the Andersen points-to engine vs the legacy
-// alias fixpoint: runs the in-process pipeline over the checked-in
-// corpus systems under --alias=legacy and --alias=andersen (best-of-N
-// wall time each) and solves a large synthetic pointer-churn module to
-// exercise the SCC condensation at scale, then times the alias phase on
-// pointerChurnProgram(N, 16) for N = 100..800 and fits the log-log
-// scaling exponent of alias time against points-to edges. Emits
-// BENCH_pointsto.json. Exits non-zero when the run is invalid: a run
-// degraded, the Andersen engine resolved no more shm pointers than
-// legacy (the precision it is paid in), no cycles collapsed on the churn
-// module, the corpus overhead exceeded the 15% budget, or the alias
-// phase scaled worse than edges^1.15. CI runs this and archives the
-// JSON.
+// Cost and scaling of the points-to phase: runs the in-process pipeline
+// over the checked-in corpus systems (best-of-N wall time each), solves a
+// large synthetic pointer-churn module to exercise the SCC condensation,
+// then times the alias phase on pointerChurnProgram(N, 16) for
+// N = 100..800 and fits the log-log scaling exponent of alias time
+// against points-to edges. Emits BENCH_pointsto.json. Exits non-zero when
+// the run is invalid: a run degraded, no cycles collapsed on the churn
+// module, or the alias phase scaled worse than edges^1.15. Corpus
+// precision is gated separately by the tests/alias_baseline.json floors.
+// CI runs this and archives the JSON.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -59,8 +56,6 @@ struct RunResult {
   double alias_seconds = 0.0;
   std::uint64_t edges = 0;
   bool degraded = false;
-  std::uint64_t resolved = 0;
-  std::uint64_t shm_resolved = 0;
   std::uint64_t constraints = 0;
   std::uint64_t collapsed = 0;
   std::uint64_t field_cells = 0;
@@ -78,19 +73,14 @@ RunResult measure(SafeFlowDriver& d) {
   }
   const support::MetricsRegistry& m = d.metrics();
   r.edges = m.counterValue("alias.points_to_edges");
-  r.resolved = m.counterValue("alias.resolved_pointers");
-  r.shm_resolved = m.counterValue("alias.shm_pointers_resolved");
   r.constraints = m.counterValue("pointsto.constraints");
   r.collapsed = m.counterValue("pointsto.scc_collapsed");
   r.field_cells = m.counterValue("pointsto.field_cells");
   return r;
 }
 
-RunResult runFiles(const std::vector<std::string>& files, bool andersen) {
-  SafeFlowOptions o;
-  o.alias.engine = andersen ? analysis::AliasOptions::Engine::kAndersen
-                            : analysis::AliasOptions::Engine::kLegacy;
-  SafeFlowDriver d(o);
+RunResult runFiles(const std::vector<std::string>& files) {
+  SafeFlowDriver d;
   for (const auto& f : files) {
     if (!d.addFile(f)) {
       std::cerr << "pointsto_micro: cannot read " << f << "\n";
@@ -100,11 +90,10 @@ RunResult runFiles(const std::vector<std::string>& files, bool andersen) {
   return measure(d);
 }
 
-RunResult bestOf(const std::vector<std::string>& files, bool andersen,
-                 int reps) {
-  RunResult best = runFiles(files, andersen);
+RunResult bestOf(const std::vector<std::string>& files, int reps) {
+  RunResult best = runFiles(files);
   for (int i = 1; i < reps; ++i) {
-    RunResult again = runFiles(files, andersen);
+    RunResult again = runFiles(files);
     if (again.seconds < best.seconds) {
       again.degraded = again.degraded || best.degraded;
       best = again;
@@ -113,11 +102,8 @@ RunResult bestOf(const std::vector<std::string>& files, bool andersen,
   return best;
 }
 
-RunResult runSynthetic(const std::string& src, bool andersen) {
-  SafeFlowOptions o;
-  o.alias.engine = andersen ? analysis::AliasOptions::Engine::kAndersen
-                            : analysis::AliasOptions::Engine::kLegacy;
-  SafeFlowDriver d(o);
+RunResult runSynthetic(const std::string& src) {
+  SafeFlowDriver d;
   if (!d.addSource("churn.c", src)) {
     std::cerr << "pointsto_micro: synthetic module rejected\n";
     std::exit(1);
@@ -145,48 +131,26 @@ double logLogSlope(const std::vector<double>& x, const std::vector<double>& y) {
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_pointsto.json";
   constexpr int kReps = 5;
-  constexpr double kOverheadBudget = 1.15;
-  // Below this absolute delta the corpus runs are timer noise, not a
-  // regression — the corpus is small and the ratio alone would flake.
-  constexpr double kNoiseFloorSeconds = 0.02;
 
-  double legacy_total = 0.0;
-  double andersen_total = 0.0;
-  std::uint64_t legacy_shm = 0;
-  std::uint64_t andersen_shm = 0;
-  std::uint64_t legacy_resolved = 0;
-  std::uint64_t andersen_resolved = 0;
+  double corpus_total = 0.0;
   bool degraded = false;
 
   std::vector<std::string> per_system;
   for (const System& sys : corpusSystems()) {
-    const RunResult legacy = bestOf(sys.files, /*andersen=*/false, kReps);
-    const RunResult andersen = bestOf(sys.files, /*andersen=*/true, kReps);
-    legacy_total += legacy.seconds;
-    andersen_total += andersen.seconds;
-    legacy_shm += legacy.shm_resolved;
-    andersen_shm += andersen.shm_resolved;
-    legacy_resolved += legacy.resolved;
-    andersen_resolved += andersen.resolved;
-    degraded = degraded || legacy.degraded || andersen.degraded;
-    char buf[320];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"system\": \"%s\", \"legacy_seconds\": %g, "
-        "\"andersen_seconds\": %g, \"legacy_shm_resolved\": %llu, "
-        "\"andersen_shm_resolved\": %llu}",
-        sys.name, legacy.seconds, andersen.seconds,
-        static_cast<unsigned long long>(legacy.shm_resolved),
-        static_cast<unsigned long long>(andersen.shm_resolved));
+    const RunResult r = bestOf(sys.files, kReps);
+    corpus_total += r.seconds;
+    degraded = degraded || r.degraded;
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"system\": \"%s\", \"seconds\": %g}", sys.name,
+                  r.seconds);
     per_system.push_back(buf);
   }
 
   // Large synthetic module: the copy-cycle shape that is quadratic
-  // without SCC condensation. One timed solve per engine.
-  const std::string churn = bench::pointerChurnProgram(150, 10);
-  const RunResult churn_legacy = runSynthetic(churn, /*andersen=*/false);
-  const RunResult churn_andersen = runSynthetic(churn, /*andersen=*/true);
-  degraded = degraded || churn_legacy.degraded || churn_andersen.degraded;
+  // without SCC condensation. One timed solve.
+  const RunResult churn = runSynthetic(bench::pointerChurnProgram(150, 10));
+  degraded = degraded || churn.degraded;
 
   // Scaling: alias-phase time against points-to edges, best of 3 per
   // size. Each of the three rounds sweeps every size, so a change in host
@@ -202,7 +166,7 @@ int main(int argc, char** argv) {
   std::vector<RunResult> best(sizes.size());
   for (int round = 0; round < 3; ++round) {
     for (std::size_t k = 0; k < sizes.size(); ++k) {
-      const RunResult again = runSynthetic(sources[k], /*andersen=*/true);
+      const RunResult again = runSynthetic(sources[k]);
       degraded = degraded || again.degraded;
       if (round == 0 || again.alias_seconds < best[k].alias_seconds) {
         best[k] = again;
@@ -225,30 +189,15 @@ int main(int argc, char** argv) {
   }
   const double exponent = logLogSlope(scale_edges, scale_seconds);
 
-  const double ratio =
-      legacy_total > 0.0 ? andersen_total / legacy_total : 0.0;
   bool ok = true;
   if (degraded) {
     std::cerr << "pointsto_micro: a run degraded; timings are bogus\n";
     ok = false;
   }
-  if (andersen_shm <= legacy_shm || andersen_resolved < legacy_resolved) {
-    std::cerr << "pointsto_micro: no precision win over legacy "
-              << "(shm_resolved " << andersen_shm << " vs " << legacy_shm
-              << ", resolved " << andersen_resolved << " vs "
-              << legacy_resolved << ") - the engine is not earning its keep\n";
-    ok = false;
-  }
-  if (churn_andersen.collapsed == 0 || churn_andersen.constraints == 0) {
+  if (churn.collapsed == 0 || churn.constraints == 0) {
     std::cerr << "pointsto_micro: churn module collapsed no cycles "
-              << "(scc_collapsed=" << churn_andersen.collapsed
-              << ", constraints=" << churn_andersen.constraints << ")\n";
-    ok = false;
-  }
-  if (ratio > kOverheadBudget &&
-      andersen_total - legacy_total > kNoiseFloorSeconds) {
-    std::cerr << "pointsto_micro: overhead ratio " << ratio
-              << " exceeds budget " << kOverheadBudget << "\n";
+              << "(scc_collapsed=" << churn.collapsed
+              << ", constraints=" << churn.constraints << ")\n";
     ok = false;
   }
   if (!(exponent <= kExponentBudget)) {
@@ -261,20 +210,12 @@ int main(int argc, char** argv) {
   out << "{\n"
       << "  \"bench\": \"pointsto_micro\",\n"
       << "  \"reps\": " << kReps << ",\n"
-      << "  \"legacy_seconds\": " << legacy_total << ",\n"
-      << "  \"andersen_seconds\": " << andersen_total << ",\n"
-      << "  \"overhead_ratio\": " << ratio << ",\n"
-      << "  \"overhead_budget\": " << kOverheadBudget << ",\n"
-      << "  \"legacy_shm_resolved\": " << legacy_shm << ",\n"
-      << "  \"andersen_shm_resolved\": " << andersen_shm << ",\n"
-      << "  \"legacy_resolved\": " << legacy_resolved << ",\n"
-      << "  \"andersen_resolved\": " << andersen_resolved << ",\n"
+      << "  \"corpus_seconds\": " << corpus_total << ",\n"
       << "  \"churn\": {\n"
-      << "    \"legacy_seconds\": " << churn_legacy.seconds << ",\n"
-      << "    \"andersen_seconds\": " << churn_andersen.seconds << ",\n"
-      << "    \"constraints\": " << churn_andersen.constraints << ",\n"
-      << "    \"scc_collapsed\": " << churn_andersen.collapsed << ",\n"
-      << "    \"field_cells\": " << churn_andersen.field_cells << "\n"
+      << "    \"seconds\": " << churn.seconds << ",\n"
+      << "    \"constraints\": " << churn.constraints << ",\n"
+      << "    \"scc_collapsed\": " << churn.collapsed << ",\n"
+      << "    \"field_cells\": " << churn.field_cells << "\n"
       << "  },\n"
       << "  \"scaling\": {\n"
       << "    \"exponent\": " << exponent << ",\n"
@@ -295,13 +236,10 @@ int main(int argc, char** argv) {
   out.close();
 
   std::printf(
-      "pointsto_micro: legacy %.3fs, andersen %.3fs, ratio %.3f, "
-      "shm_resolved %llu vs %llu, churn %.3fs (%llu constraints, "
+      "pointsto_micro: corpus %.3fs, churn %.3fs (%llu constraints, "
       "%llu collapsed), alias scaling exponent %.3f\n",
-      legacy_total, andersen_total, ratio,
-      static_cast<unsigned long long>(andersen_shm),
-      static_cast<unsigned long long>(legacy_shm), churn_andersen.seconds,
-      static_cast<unsigned long long>(churn_andersen.constraints),
-      static_cast<unsigned long long>(churn_andersen.collapsed), exponent);
+      corpus_total, churn.seconds,
+      static_cast<unsigned long long>(churn.constraints),
+      static_cast<unsigned long long>(churn.collapsed), exponent);
   return ok ? 0 : 1;
 }

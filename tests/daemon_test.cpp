@@ -335,6 +335,8 @@ TEST(Daemon, MalformedRequestsNeverKillTheDaemon) {
       "\"flags\": [\"--worker\"]}\n",
       "{\"safeflowd\": 1, \"op\": \"analyze\", \"files\": [\"x.c\"], "
       "\"flags\": \"-I\"}\n",
+      "{\"safeflowd\": 1, \"op\": \"analyze\", \"files\": [\"x.c\"], "
+      "\"flags\": [\"--alias=legacy\"]}\n",
   };
   for (const char* request : malformed) {
     const std::string response = rawRequest(socket, request, 15.0);

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/pointsto.h"
+#include "analysis/alias.h"
 #include "analysis/shm_regions.h"
 #include "analysis/summaries.h"
 #include "bench/synthetic.h"
@@ -90,7 +90,7 @@ Pipeline build(const Input& in) {
   return p;
 }
 
-std::string dump(const Pipeline& p, const analysis::PointsToSolver& solver) {
+std::string dump(const Pipeline& p, const analysis::AliasAnalysis& solver) {
   const analysis::ModuleIndex index(*p.module);
   std::ostringstream out;
   const auto line = [&](const std::string& name, const ir::Value* v) {
@@ -116,9 +116,9 @@ std::string dump(const Pipeline& p, const analysis::PointsToSolver& solver) {
 void checkGolden(const std::string& name, const Input& in,
                  support::AnalysisBudget* budget = nullptr) {
   const Pipeline p = build(in);
-  analysis::PointsToSolver solver(*p.module, p.regions, *p.callgraph,
-                                  analysis::PointsToOptions{true}, budget);
-  solver.solve();
+  analysis::AliasAnalysis solver(*p.module, p.regions, *p.callgraph, {},
+                                 budget);
+  solver.run();
   EXPECT_EQ(solver.degraded(), budget != nullptr);
   const std::string got = dump(p, solver);
   ASSERT_FALSE(got.empty());
@@ -174,12 +174,10 @@ TEST(PointsToGolden, PoolIgnoresHeapAddresses) {
       ballast.push_back(std::make_unique<char[]>(48 + 16 * i));
     }
     const Pipeline b = build(in);
-    analysis::PointsToSolver sa(*a.module, a.regions, *a.callgraph,
-                                analysis::PointsToOptions{true}, nullptr);
-    analysis::PointsToSolver sb(*b.module, b.regions, *b.callgraph,
-                                analysis::PointsToOptions{true}, nullptr);
-    sa.solve();
-    sb.solve();
+    analysis::AliasAnalysis sa(*a.module, a.regions, *a.callgraph);
+    analysis::AliasAnalysis sb(*b.module, b.regions, *b.callgraph);
+    sa.run();
+    sb.run();
     ASSERT_FALSE(sa.pool().empty());
     EXPECT_EQ(sa.pool(), sb.pool());
     EXPECT_EQ(dump(a, sa), dump(b, sb));

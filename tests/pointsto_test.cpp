@@ -2,10 +2,10 @@
 // constraint generation, SCC cycle collapse, byte-offset field cells
 // (constant pointer arithmetic, union overlap, out-of-bounds constants),
 // budget degradation monotonicity, the function-qualified describe()
-// names, and the pointerlab corpus goldens that pin the precision delta
-// against the legacy alias engine. The subprocess tests spawn the real
-// `safeflow` binary (SAFEFLOW_EXE) to check report stability across
-// --isolate and warm cache runs under --alias=andersen.
+// names, and the pointerlab corpus golden. The subprocess tests spawn the
+// real `safeflow` binary (SAFEFLOW_EXE) to check report stability across
+// --isolate and warm cache runs, and that the removed --alias flag is
+// rejected.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "analysis/alias.h"
-#include "analysis/pointsto.h"
 #include "analysis/shm_regions.h"
 #include "cfront/frontend.h"
 #include "ir/callgraph.h"
@@ -136,9 +135,8 @@ int readBoth(void)
     return *pq;
 }
 )");
-  analysis::PointsToSolver solver(*p.module, p.regions, *p.callgraph,
-                                  analysis::PointsToOptions{true}, nullptr);
-  solver.solve();
+  analysis::AliasAnalysis solver(*p.module, p.regions, *p.callgraph);
+  solver.run();
   const ir::Function* fn = p.module->findFunction("readBoth");
   const auto geps = instructionsOf(fn, ir::Opcode::kFieldAddr);
   ASSERT_EQ(geps.size(), 2u);
@@ -166,9 +164,8 @@ int stray(void)
     return *px;
 }
 )");
-  analysis::PointsToSolver solver(*p.module, p.regions, *p.callgraph,
-                                  analysis::PointsToOptions{true}, nullptr);
-  solver.solve();
+  analysis::AliasAnalysis solver(*p.module, p.regions, *p.callgraph);
+  solver.run();
   const ir::Function* fn = p.module->findFunction("stray");
   const auto idx = instructionsOf(fn, ir::Opcode::kIndexAddr);
   ASSERT_EQ(idx.size(), 1u);
@@ -189,9 +186,8 @@ double launder(int x)
     return u.d;
 }
 )");
-  analysis::PointsToSolver solver(*p.module, p.regions, *p.callgraph,
-                                  analysis::PointsToOptions{true}, nullptr);
-  solver.solve();
+  analysis::AliasAnalysis solver(*p.module, p.regions, *p.callgraph);
+  solver.run();
   const ir::Function* fn = p.module->findFunction("launder");
   const auto geps = instructionsOf(fn, ir::Opcode::kFieldAddr);
   ASSERT_EQ(geps.size(), 2u);
@@ -217,9 +213,8 @@ int deref(void)
     return *back;
 }
 )");
-  analysis::PointsToSolver solver(*p.module, p.regions, *p.callgraph,
-                                  analysis::PointsToOptions{true}, nullptr);
-  solver.solve();
+  analysis::AliasAnalysis solver(*p.module, p.regions, *p.callgraph);
+  solver.run();
   const ir::Function* fn = p.module->findFunction("deref");
   const auto allocas = instructionsOf(fn, ir::Opcode::kAlloca);
   const ir::Instruction* target = nullptr;
@@ -254,9 +249,8 @@ int readIt(void)
     return *pb;
 }
 )");
-  analysis::PointsToSolver solver(*p.module, p.regions, *p.callgraph,
-                                  analysis::PointsToOptions{true}, nullptr);
-  solver.solve();
+  analysis::AliasAnalysis solver(*p.module, p.regions, *p.callgraph);
+  solver.run();
   const ir::Function* fn = p.module->findFunction("readIt");
   const auto calls = instructionsOf(fn, ir::Opcode::kCall);
   ASSERT_EQ(calls.size(), 1u);
@@ -264,7 +258,7 @@ int readIt(void)
   ASSERT_EQ(pts.size(), 1u);
   // Resolved through two call boundaries to the b cell at byte 4.
   EXPECT_EQ(solver.kindOf(*pts.begin()),
-            analysis::PointsToSolver::ObjKind::kField);
+            analysis::AliasAnalysis::ObjKind::kField);
   EXPECT_EQ(solver.extentOf(*pts.begin()),
             (std::pair<std::int64_t, std::int64_t>{4, 4}));
 }
@@ -334,18 +328,17 @@ int readBoth(void)
 )";
   auto p = run(src);
 
-  analysis::PointsToSolver full(*p.module, p.regions, *p.callgraph,
-                                analysis::PointsToOptions{true}, nullptr);
-  full.solve();
+  analysis::AliasAnalysis full(*p.module, p.regions, *p.callgraph);
+  full.run();
   EXPECT_FALSE(full.degraded());
 
   support::BudgetLimits limits;
   limits.phase_steps = 3;  // trips mid-constraint-generation
   support::AnalysisBudget budget(limits);
   budget.start();
-  analysis::PointsToSolver starved(*p.module, p.regions, *p.callgraph,
-                                   analysis::PointsToOptions{true}, &budget);
-  starved.solve();
+  analysis::AliasAnalysis starved(*p.module, p.regions, *p.callgraph, {},
+                                  &budget);
+  starved.run();
   EXPECT_TRUE(starved.degraded());
 
   // Monotone degradation: nothing tightens. Every surviving points-to
@@ -370,31 +363,26 @@ TEST(Alias, DescribeQualifiesAllocasWithFunction) {
 int first(void)  { int slot; int *p; p = &slot; *p = 1; return *p; }
 int second(void) { int slot; int *p; p = &slot; *p = 2; return *p; }
 )";
-  for (auto engine : {analysis::AliasOptions::Engine::kAndersen,
-                      analysis::AliasOptions::Engine::kLegacy}) {
-    auto p = run(src);
-    analysis::AliasOptions opts;
-    opts.engine = engine;
-    analysis::AliasAnalysis alias(*p.module, p.regions, *p.callgraph, opts);
-    alias.run();
-    std::vector<std::string> names;
-    for (const char* fn_name : {"first", "second"}) {
-      const ir::Function* fn = p.module->findFunction(fn_name);
-      const auto allocas = instructionsOf(fn, ir::Opcode::kAlloca);
-      ASSERT_EQ(allocas.size(), 1u);
-      const auto& pts = alias.pointsTo(allocas[0]);
-      ASSERT_EQ(pts.size(), 1u);
-      names.push_back(alias.describe(*pts.begin()));
-    }
-    // Same local name in two functions must not collide.
-    EXPECT_NE(names[0], names[1]);
-    EXPECT_EQ(names[0], "first::slot");
-    EXPECT_EQ(names[1], "second::slot");
+  auto p = run(src);
+  analysis::AliasAnalysis alias(*p.module, p.regions, *p.callgraph);
+  alias.run();
+  std::vector<std::string> names;
+  for (const char* fn_name : {"first", "second"}) {
+    const ir::Function* fn = p.module->findFunction(fn_name);
+    const auto allocas = instructionsOf(fn, ir::Opcode::kAlloca);
+    ASSERT_EQ(allocas.size(), 1u);
+    const auto& pts = alias.pointsTo(allocas[0]);
+    ASSERT_EQ(pts.size(), 1u);
+    names.push_back(alias.describe(*pts.begin()));
   }
+  // Same local name in two functions must not collide.
+  EXPECT_NE(names[0], names[1]);
+  EXPECT_EQ(names[0], "first::slot");
+  EXPECT_EQ(names[1], "second::slot");
 }
 
 // ---------------------------------------------------------------------------
-// Pointerlab corpus: goldens and the precision delta vs legacy
+// Pointerlab corpus: the report golden and its entry points
 // ---------------------------------------------------------------------------
 
 struct RunResult {
@@ -444,53 +432,23 @@ std::string normalizePaths(std::string text) {
 }
 
 TEST(PointerlabCorpus, AndersenMatchesCheckedInGolden) {
-  const RunResult r = runCommand(std::string(SAFEFLOW_EXE) +
-                                 " --alias=andersen" + pointerlabFiles());
+  // The golden pins the precision the field-sensitive solver buys:
+  // pickCmd's pointer arithmetic resolves to the command word, so there is
+  // no spurious flow into 'output', and the genuine union pun into
+  // 'wobble' is caught. The seeded cross-region confusion defect
+  // ([shm-bounds-const], always outside its 8 elements) is caught too.
+  const RunResult r =
+      runCommand(std::string(SAFEFLOW_EXE) + pointerlabFiles());
   EXPECT_EQ(r.exit_code, 1) << r.output;  // the pun defect is a data error
   EXPECT_EQ(normalizePaths(r.output),
             readFile(corpusDir() + "/pointerlab/expected_andersen.txt"));
-}
-
-TEST(PointerlabCorpus, LegacyMatchesCheckedInGolden) {
-  const RunResult r = runCommand(std::string(SAFEFLOW_EXE) +
-                                 " --alias=legacy" + pointerlabFiles());
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_EQ(normalizePaths(r.output),
-            readFile(corpusDir() + "/pointerlab/expected_legacy.txt"));
-}
-
-TEST(PointerlabCorpus, PrecisionDeltaVersusLegacy) {
-  const RunResult andersen = runCommand(std::string(SAFEFLOW_EXE) +
-                                        " --alias=andersen" +
-                                        pointerlabFiles());
-  const RunResult legacy = runCommand(std::string(SAFEFLOW_EXE) +
-                                      " --alias=legacy" + pointerlabFiles());
-  // Andersen resolves pickCmd's pointer arithmetic to the command word:
-  // the spurious flow into 'output' disappears, and the genuine union
-  // pun into 'wobble' is caught instead. Legacy has it exactly reversed.
-  EXPECT_EQ(andersen.output.find("critical value 'output'"),
-            std::string::npos)
-      << andersen.output;
-  EXPECT_NE(andersen.output.find("critical value 'wobble'"),
-            std::string::npos)
-      << andersen.output;
-  EXPECT_NE(legacy.output.find("critical value 'output'"), std::string::npos)
-      << legacy.output;
-  EXPECT_EQ(legacy.output.find("critical value 'wobble'"), std::string::npos)
-      << legacy.output;
-  // The seeded cross-region confusion defect is caught in BOTH engines.
-  for (const auto* out : {&andersen.output, &legacy.output}) {
-    EXPECT_NE(out->find("[shm-bounds-const]"), std::string::npos) << *out;
-    EXPECT_NE(out->find("always outside its 8 elements"), std::string::npos)
-        << *out;
-  }
 }
 
 TEST(PointerlabCorpus, ReportByteIdenticalAcrossIsolateAndWarmCache) {
   char tmpl[] = "/tmp/sf_pointsto_cache_XXXXXX";
   ASSERT_NE(mkdtemp(tmpl), nullptr);
   const std::string cache = tmpl;
-  const std::string exe = std::string(SAFEFLOW_EXE) + " --alias=andersen";
+  const std::string exe = SAFEFLOW_EXE;
   // The isolated worker analyzes the whole program, so its report — cold
   // or replayed from the cache — is the in-process golden, byte for byte.
   const RunResult in_process = runCommand(exe + pointerlabFiles());
@@ -507,38 +465,15 @@ TEST(PointerlabCorpus, ReportByteIdenticalAcrossIsolateAndWarmCache) {
   runCommand("rm -rf " + cache);
 }
 
-std::uint64_t statsCounter(const std::string& stats_path,
-                           const std::string& name) {
-  // Cheap extraction of `"name": <n>` from the stats JSON.
-  const std::string text = readFile(stats_path);
-  const std::string key = "\"" + name + "\":";
-  const std::size_t pos = text.find(key);
-  if (pos == std::string::npos) return 0;
-  return std::strtoull(text.c_str() + pos + key.size(), nullptr, 10);
-}
-
-TEST(PointerlabCorpus, AliasFlagChangesCacheKey) {
-  char tmpl[] = "/tmp/sf_pointsto_key_XXXXXX";
-  ASSERT_NE(mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
-  const std::string stats = dir + "/stats.json";
-  const std::string base = std::string(SAFEFLOW_EXE) +
-                           " --isolate --cache-dir " + dir +
-                           "/cache --stats-json " + stats;
-  const std::string files = pointerlabFiles();
-  const RunResult andersen = runCommand(base + " --alias=andersen" + files);
-  EXPECT_NE(andersen.exit_code, 2) << andersen.output;
-  // Switching engines must never replay the other engine's cache: the
-  // legacy run misses its one whole-program entry, then a repeat legacy
-  // run hits it.
-  const RunResult legacy = runCommand(base + " --alias=legacy" + files);
-  EXPECT_NE(legacy.exit_code, 2) << legacy.output;
-  EXPECT_EQ(statsCounter(stats, "cache.hits"), 0u);
-  EXPECT_EQ(statsCounter(stats, "cache.misses"), 1u);
-  const RunResult again = runCommand(base + " --alias=legacy" + files);
-  EXPECT_NE(again.exit_code, 2) << again.output;
-  EXPECT_EQ(statsCounter(stats, "cache.hits"), 1u);
-  runCommand("rm -rf " + dir);
+TEST(PointerlabCorpus, RemovedAliasFlagIsRejected) {
+  // There is no engine switch: a script still passing one must fail as a
+  // usage error (exit 2) rather than run with the flag ignored.
+  for (const char* flag : {" --alias=legacy", " --alias=andersen"}) {
+    const RunResult r =
+        runCommand(std::string(SAFEFLOW_EXE) + flag + pointerlabFiles());
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("unknown option"), std::string::npos) << r.output;
+  }
 }
 
 }  // namespace
