@@ -87,7 +87,9 @@ AliasAnalysis::AliasAnalysis(const ir::Module& module,
       regions_(regions),
       callgraph_(callgraph),
       options_(options),
-      budget_(budget) {
+      budget_(budget),
+      value_nodes_(module.valueCount(), -1),
+      value_objects_(module.valueCount(), -1) {
   Object unknown;
   unknown.kind = ObjKind::kUnknown;
   unknown.name = "<unknown>";
@@ -110,12 +112,11 @@ int AliasAnalysis::newNode() {
 }
 
 int AliasAnalysis::valueNode(const ir::Value* v) {
-  auto it = value_nodes_.find(v);
-  if (it != value_nodes_.end()) return it->second;
-  const int n = newNode();
-  value_nodes_.emplace(v, n);
-  node_values_[static_cast<std::size_t>(n)] = v;
-  return n;
+  std::int32_t& slot = value_nodes_[v->id()];
+  if (slot >= 0) return slot;
+  slot = newNode();
+  node_values_[static_cast<std::size_t>(slot)] = v;
+  return slot;
 }
 
 int AliasAnalysis::objNode(ObjId obj) {
@@ -254,8 +255,7 @@ void setRootLayout(std::int64_t& size, std::int64_t& stride,
 }  // namespace
 
 ObjId AliasAnalysis::objectForAlloca(const ir::Instruction* alloca) {
-  auto it = value_objects_.find(alloca);
-  if (it != value_objects_.end()) return it->second;
+  if (value_objects_[alloca->id()] >= 0) return value_objects_[alloca->id()];
   Object o;
   o.kind = ObjKind::kAlloca;
   o.anchor = alloca;
@@ -268,20 +268,19 @@ ObjId AliasAnalysis::objectForAlloca(const ir::Instruction* alloca) {
   o.name = (fn != nullptr ? fn->name() + "::" : std::string()) + base;
   setRootLayout(o.size, o.stride, o.layout, alloca->allocated_type);
   const ObjId id = internObject(std::move(o));
-  value_objects_.emplace(alloca, id);
+  value_objects_[alloca->id()] = id;
   return id;
 }
 
 ObjId AliasAnalysis::objectForGlobal(const ir::GlobalVar* g) {
-  auto it = value_objects_.find(g);
-  if (it != value_objects_.end()) return it->second;
+  if (value_objects_[g->id()] >= 0) return value_objects_[g->id()];
   Object o;
   o.kind = ObjKind::kGlobal;
   o.anchor = g;
   o.name = g->name();
   setRootLayout(o.size, o.stride, o.layout, g->valueType());
   const ObjId id = internObject(std::move(o));
-  value_objects_.emplace(g, id);
+  value_objects_[g->id()] = id;
   return id;
 }
 
@@ -805,12 +804,11 @@ void AliasAnalysis::run() {
 // ---------------------------------------------------------------------------
 
 const ObjSet& AliasAnalysis::pointsTo(const ir::Value* v) const {
-  const auto it = value_nodes_.find(v);
-  if (it == value_nodes_.end() ||
-      static_cast<std::size_t>(it->second) >= node_sets_.size()) {
+  const std::int32_t node = value_nodes_[v->id()];
+  if (node < 0 || static_cast<std::size_t>(node) >= node_sets_.size()) {
     return empty_;
   }
-  const int id = node_sets_[static_cast<std::size_t>(it->second)];
+  const int id = node_sets_[static_cast<std::size_t>(node)];
   return id < 0 ? empty_ : pool_[static_cast<std::size_t>(id)];
 }
 

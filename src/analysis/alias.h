@@ -36,7 +36,6 @@
 #include <bit>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -240,10 +239,10 @@ class AliasAnalysis {
   std::vector<Object> objects_;
   std::vector<Node> nodes_;
   std::vector<int> rep_;  // union-find forest over nodes_
-  std::unordered_map<const ir::Value*, int> value_nodes_;
+  std::vector<std::int32_t> value_nodes_;  // by value id, -1 = none
   // The value each node stands for (null for object content nodes).
   std::vector<const ir::Value*> node_values_;
-  std::unordered_map<const ir::Value*, ObjId> value_objects_;
+  std::vector<ObjId> value_objects_;  // by alloca/global id, -1 = none
   ObjId unknown_ = -1;
 
   // One bit per queued node: pops the lowest queued node id first, each

@@ -266,6 +266,7 @@ void RangeAnalysis::run() {
   ran_ = true;
   const support::ScopedTimer timer("phase.ranges");
   support::budgetBeginPhase(budget_, "ranges");
+  update_counts_.assign(module_.valueCount(), 0);
 
   // Functions whose argument ranges must start at ⊤-of-type: entry points
   // (no caller, or main) and address-taken functions (lowering marks them
@@ -377,7 +378,7 @@ bool RangeAnalysis::analyzeFunction(const ir::Function& fn) {
       if (inst->opcode() == ir::Opcode::kRet || !inst->type()->isInteger()) {
         continue;
       }
-      const auto it = range_.find(inst.get());
+      const auto it = range_.find(inst->id());
       if (it == range_.end()) continue;
       if (const auto result = transfer(*inst)) {
         if (const auto narrowed = it->second.meet(*result)) {
@@ -430,25 +431,20 @@ bool rangeRelevantTarget(const ir::Function* f) {
 // that set makes replay exact memoization of the transformer.
 void RangeAnalysis::digestInput(const ir::Function& fn,
                                 support::Fnv1a& h) const {
-  const ValueIndex& vi = memo_.index->of(fn);
   hashToken(h, "ranges-in");
   hashToken(h, fn.name());
-  const auto& values = vi.values();
-  for (std::size_t id = 0; id < values.size(); ++id) {
-    const auto it = range_.find(values[id]);
-    if (it == range_.end()) continue;
-    hashUint(h, id);
-    hashInterval(h, it->second);
-    const auto cit = update_counts_.find(values[id]);
-    hashUint(h, cit == update_counts_.end() ? 0 : cit->second);
+  for (const auto& [id, range] : localEntries(range_, fn)) {
+    hashUint(h, id - fn.firstLocalId());
+    hashInterval(h, range);
+    hashUint(h, update_counts_[id]);
   }
   hashToken(h, "ret");
   const auto rit = return_range_.find(&fn);
   hashUint(h, rit == return_range_.end() ? 0 : 1);
   if (rit != return_range_.end()) hashInterval(h, rit->second);
   {
-    const auto cit = update_counts_.find(&fn);
-    hashUint(h, cit == update_counts_.end() ? 0 : cit->second);
+    const auto cit = return_updates_.find(&fn);
+    hashUint(h, cit == return_updates_.end() ? 0 : cit->second);
   }
   hashToken(h, "calls");
   for (const auto& bb : fn.blocks()) {
@@ -463,12 +459,11 @@ void RangeAnalysis::digestInput(const ir::Function& fn,
           for (std::size_t p = 0; p < f->args().size(); ++p) {
             const ir::Argument* formal = f->args()[p].get();
             if (!formal->type()->isInteger()) continue;
-            const auto it = range_.find(formal);
+            const auto it = range_.find(formal->id());
             if (it == range_.end()) continue;
             hashUint(h, p);
             hashInterval(h, it->second);
-            const auto cit = update_counts_.find(formal);
-            hashUint(h, cit == update_counts_.end() ? 0 : cit->second);
+            hashUint(h, update_counts_[formal->id()]);
           }
         }
         const auto frit = return_range_.find(f);
@@ -483,7 +478,6 @@ std::string RangeAnalysis::captureRecord(const ir::Function& fn,
                                          bool identity,
                                          bool changed_any,
                                          bool module_delta) const {
-  const ValueIndex& vi = memo_.index->of(fn);
   BlobWriter w;
   // Identity = post-digest == pre-digest: the solve changed nothing in
   // the digested read/write set, so a hit may skip the state parse. The
@@ -493,25 +487,20 @@ std::string RangeAnalysis::captureRecord(const ir::Function& fn,
   w.u64(changed_any ? 1 : 0);
   w.u64(module_delta ? 1 : 0);
 
-  const auto& values = vi.values();
-  std::vector<std::size_t> own;
-  for (std::size_t id = 0; id < values.size(); ++id) {
-    if (range_.count(values[id]) != 0) own.push_back(id);
-  }
-  w.u64(own.size());
-  for (const std::size_t id : own) {
-    w.u64(id);
-    writeInterval(w, range_.at(values[id]));
-    const auto cit = update_counts_.find(values[id]);
-    w.u64(cit == update_counts_.end() ? 0 : cit->second);
+  const auto own = localEntries(range_, fn);
+  w.u64(static_cast<std::uint64_t>(std::ranges::distance(own)));
+  for (const auto& [id, range] : own) {
+    w.u64(id - fn.firstLocalId());
+    writeInterval(w, range);
+    w.u64(update_counts_[id]);
   }
 
   const auto rit = return_range_.find(&fn);
   w.u64(rit == return_range_.end() ? 0 : 1);
   if (rit != return_range_.end()) writeInterval(w, rit->second);
   {
-    const auto cit = update_counts_.find(&fn);
-    w.u64(cit == update_counts_.end() ? 0 : cit->second);
+    const auto cit = return_updates_.find(&fn);
+    w.u64(cit == return_updates_.end() ? 0 : cit->second);
   }
 
   std::set<std::pair<std::string, std::size_t>> seen;
@@ -524,7 +513,7 @@ std::string RangeAnalysis::captureRecord(const ir::Function& fn,
         for (std::size_t p = 0; p < f->args().size(); ++p) {
           const ir::Argument* formal = f->args()[p].get();
           if (!formal->type()->isInteger() ||
-              range_.count(formal) == 0) {
+              range_.count(formal->id()) == 0) {
             continue;
           }
           if (!seen.insert({f->name(), p}).second) continue;
@@ -537,9 +526,8 @@ std::string RangeAnalysis::captureRecord(const ir::Function& fn,
   for (const auto& [name, p, formal] : slots) {
     w.str(name);
     w.u64(p);
-    writeInterval(w, range_.at(formal));
-    const auto cit = update_counts_.find(formal);
-    w.u64(cit == update_counts_.end() ? 0 : cit->second);
+    writeInterval(w, range_.at(formal->id()));
+    w.u64(update_counts_[formal->id()]);
   }
   return w.take();
 }
@@ -547,22 +535,22 @@ std::string RangeAnalysis::captureRecord(const ir::Function& fn,
 bool RangeAnalysis::applyRecord(const ir::Function& fn,
                                 const std::string& blob,
                                 bool* changed_any) {
-  const ValueIndex& vi = memo_.index->of(fn);
-  const auto& values = vi.values();
   BlobReader r(blob);
 
   r.u64();  // identity flag, already consumed by the caller's peek
   const bool rc = r.u64() != 0;
   const bool module_delta = r.u64() != 0;
-  std::vector<std::pair<const ir::Value*, std::pair<Interval, unsigned>>>
-      staged;
+  // Own values first, callee formals after: a recursive call's formal is
+  // also an own value, and the formal slot wins.
+  std::vector<std::pair<std::uint32_t, std::pair<Interval, unsigned>>> staged;
   const std::uint64_t own = r.u64();
   for (std::uint64_t i = 0; i < own && r.ok(); ++i) {
     const std::uint64_t id = r.u64();
     const Interval range = readInterval(r);
     const unsigned count = static_cast<unsigned>(r.u64());
-    if (!r.ok() || id >= values.size()) return false;
-    staged.push_back({values[id], {range, count}});
+    if (!r.ok() || id >= fn.localCount()) return false;
+    staged.push_back(
+        {fn.firstLocalId() + static_cast<std::uint32_t>(id), {range, count}});
   }
   bool have_ret = false;
   Interval ret_range;
@@ -572,8 +560,6 @@ bool RangeAnalysis::applyRecord(const ir::Function& fn,
   }
   const unsigned ret_count = static_cast<unsigned>(r.u64());
   const std::uint64_t nslots = r.u64();
-  std::vector<std::pair<const ir::Argument*, std::pair<Interval, unsigned>>>
-      staged_formals;
   for (std::uint64_t i = 0; i < nslots && r.ok(); ++i) {
     const std::string name = r.str();
     const std::uint64_t p = r.u64();
@@ -583,21 +569,17 @@ bool RangeAnalysis::applyRecord(const ir::Function& fn,
     if (!r.ok() || target == nullptr || p >= target->args().size()) {
       return false;
     }
-    staged_formals.push_back({target->args()[p].get(), {range, count}});
+    staged.push_back({target->args()[p]->id(), {range, count}});
   }
   if (!r.ok() || !r.atEnd()) return false;
 
-  for (const auto& [v, rec] : staged) {
-    range_[v] = rec.first;
-    update_counts_[v] = rec.second;
+  for (const auto& [id, rec] : staged) {
+    range_[id] = rec.first;
+    update_counts_[id] = rec.second;
   }
   if (have_ret) return_range_[&fn] = ret_range;
-  if (ret_count != 0 || update_counts_.count(&fn) != 0) {
-    update_counts_[&fn] = ret_count;
-  }
-  for (const auto& [formal, rec] : staged_formals) {
-    range_[formal] = rec.first;
-    update_counts_[formal] = rec.second;
+  if (ret_count != 0 || return_updates_.count(&fn) != 0) {
+    return_updates_[&fn] = ret_count;
   }
   // Later consumers (rangeAt from the restriction and bounds checks) need
   // the dominator tree even when every local solve was replayed.
@@ -652,13 +634,13 @@ bool RangeAnalysis::memoizedAnalyze(const ir::Function& fn) {
 
 std::uint64_t RangeAnalysis::digestState(const ModuleIndex& index) const {
   std::map<std::string, std::string> items;
-  const auto stable = [&index](const ir::Value* v) {
-    const auto [owner, id] = index.locate(v);
+  const auto stable = [&index](std::uint32_t id) {
+    const auto [owner, pos] = index.locate(index.module().value(id));
     return (owner != nullptr ? owner->name() : std::string("?")) + "#" +
-           std::to_string(id);
+           std::to_string(pos);
   };
-  for (const auto& [v, range] : range_) {
-    items["v:" + stable(v)] = intervalStr(range);
+  for (const auto& [id, range] : range_) {
+    items["v:" + stable(id)] = intervalStr(range);
   }
   for (const auto& [fn, range] : return_range_) {
     items["r:" + fn->name()] = intervalStr(range);
@@ -798,14 +780,14 @@ std::optional<Interval> RangeAnalysis::transfer(const ir::Instruction& inst) {
 
 bool RangeAnalysis::joinInto(const ir::Value* key, Interval value,
                              const ir::Type* type) {
-  const auto it = range_.find(key);
+  const auto it = range_.find(key->id());
   if (it == range_.end()) {
-    range_.emplace(key, value);
+    range_.emplace(key->id(), value);
     return true;
   }
   Interval merged = it->second.join(value);
   if (merged == it->second) return false;
-  if (++update_counts_[key] > options_.widen_after) {
+  if (++update_counts_[key->id()] > options_.widen_after) {
     const Interval ti = typeInterval(type);
     if (merged.lo < it->second.lo) merged.lo = ti.lo;
     if (merged.hi > it->second.hi) merged.hi = ti.hi;
@@ -823,7 +805,7 @@ bool RangeAnalysis::joinReturn(const ir::Function* fn, Interval value) {
   }
   Interval merged = it->second.join(value);
   if (merged == it->second) return false;
-  if (++update_counts_[fn] > options_.widen_after) {
+  if (++return_updates_[fn] > options_.widen_after) {
     const Interval ti =
         typeInterval(fn->functionType() != nullptr
                          ? fn->functionType()->returnType()
@@ -843,7 +825,7 @@ std::optional<Interval> RangeAnalysis::valueRange(const ir::Value* v) const {
     case ir::Value::Kind::kInstruction:
     case ir::Value::Kind::kArgument: {
       if (!v->type()->isInteger()) return Interval::top();
-      const auto it = range_.find(v);
+      const auto it = range_.find(v->id());
       if (it == range_.end()) return std::nullopt;  // bottom
       return it->second;
     }
@@ -930,7 +912,7 @@ Interval RangeAnalysis::rangeOf(const ir::Value* v) const {
   }
   const ir::Type* t = v->type();
   if (t == nullptr || !t->isInteger()) return Interval::top();
-  const auto it = range_.find(v);
+  const auto it = range_.find(v->id());
   if (it != range_.end()) return it->second;
   return typeInterval(t);
 }
@@ -1050,7 +1032,7 @@ void RangeAnalysis::computeDecidedBranches() {
         else if (c == Interval::constant(0)) verdict = false;
       }
       if (verdict.has_value()) {
-        decided_.emplace(term, *verdict ? 0u : 1u);
+        decided_.emplace(term->id(), *verdict ? 0u : 1u);
       }
     }
   }
@@ -1059,7 +1041,7 @@ void RangeAnalysis::computeDecidedBranches() {
 std::optional<unsigned> RangeAnalysis::decidedBranch(
     const ir::Instruction* condbr) const {
   if (!options_.enabled || degraded_) return std::nullopt;
-  const auto it = decided_.find(condbr);
+  const auto it = decided_.find(condbr->id());
   if (it == decided_.end()) return std::nullopt;
   return it->second;
 }

@@ -183,15 +183,16 @@ class RangeAnalysis {
   support::AnalysisBudget* budget_ = nullptr;
   PhaseMemoHooks memo_;
 
-  std::map<const ir::Value*, Interval> range_;
+  std::map<std::uint32_t, Interval> range_;  // by value id
   std::map<const ir::Function*, Interval> return_range_;
-  std::map<const void*, unsigned> update_counts_;  // values & functions
+  std::vector<unsigned> update_counts_;  // growths by value id
+  std::map<const ir::Function*, unsigned> return_updates_;
   std::map<const ir::Function*, ir::DominatorTree> domtrees_;
   mutable std::map<const ir::BasicBlock*,
                    std::vector<std::pair<const ir::BasicBlock*,
                                          const ir::BasicBlock*>>>
       refine_chain_;
-  std::map<const ir::Instruction*, unsigned> decided_;
+  std::map<std::uint32_t, unsigned> decided_;  // by CondBr id
   std::set<const ir::Function*> top_arg_fns_;  // roots & address-taken
   bool ran_ = false;
   bool degraded_ = false;

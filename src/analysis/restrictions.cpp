@@ -211,7 +211,7 @@ void RestrictionChecker::checkIndexAddr(
 
     // Build the violation system: symbol bounds + (index out of range).
     LinearSystem sys;
-    std::map<const ir::Value*, int> vars;
+    std::map<std::uint32_t, int> vars;  // by symbol id
     bool bounded = true;
     bool ranged = false;
     for (const auto& [sym, coeff] : affine.terms) {
@@ -225,7 +225,7 @@ void RestrictionChecker::checkIndexAddr(
       ranged |= used_ranges;
       if (used_ranges) SAFEFLOW_COUNT("ranges.bounds_seeded");
       const int var = sys.addVariable(sym->name());
-      vars[sym] = var;
+      vars[sym->id()] = var;
       sys.addLowerBound(var, b.lo);
       sys.addUpperBound(var, b.hi);
     }
@@ -245,7 +245,7 @@ void RestrictionChecker::checkIndexAddr(
       LinearSystem low = sys;
       LinearConstraint c;
       for (const auto& [sym, coeff] : affine.terms) {
-        c.coeffs[vars[sym]] = -coeff;
+        c.coeffs[vars[sym->id()]] = -coeff;
       }
       c.constant = -affine.constant - base_elems - 1;
       low.add(std::move(c));
@@ -264,7 +264,7 @@ void RestrictionChecker::checkIndexAddr(
       LinearSystem high = sys;
       LinearConstraint c;
       for (const auto& [sym, coeff] : affine.terms) {
-        c.coeffs[vars[sym]] = coeff;
+        c.coeffs[vars[sym->id()]] = coeff;
       }
       c.constant = affine.constant + base_elems - count;
       high.add(std::move(c));

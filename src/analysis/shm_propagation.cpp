@@ -54,7 +54,7 @@ ShmPointerAnalysis::ShmPointerAnalysis(const ir::Module& module,
       memo_(memo) {}
 
 ShmPtrInfo ShmPointerAnalysis::get(const ir::Value* v) const {
-  auto it = facts_.find(v);
+  auto it = facts_.find(v->id());
   return it == facts_.end() ? ShmPtrInfo{} : it->second;
 }
 
@@ -73,10 +73,10 @@ void ShmPointerAnalysis::widen(ShmPtrInfo& info) const {
 bool ShmPointerAnalysis::update(const ir::Value* v,
                                 const ShmPtrInfo& incoming) {
   if (incoming.empty()) return false;
-  ShmPtrInfo& slot = facts_[v];
+  ShmPtrInfo& slot = facts_[v->id()];
   ShmPtrInfo merged = slot;
   if (!merged.merge(incoming)) return false;
-  unsigned& count = update_counts_[v];
+  unsigned& count = update_counts_[v->id()];
   if (++count >= kWidenThreshold && merged.offset_known) widen(merged);
   slot = merged;
   return true;
@@ -86,6 +86,7 @@ void ShmPointerAnalysis::run() {
   const support::ScopedTimer timer("phase.shm_propagation");
   if (regions_.empty()) return;
   support::budgetBeginPhase(budget_, "shm_propagation");
+  update_counts_.assign(module_.valueCount(), 0);
   support::MetricsRegistry::Counter* pushes =
       support::counterHandle("shm_propagation.worklist_pushes");
 
@@ -132,7 +133,7 @@ void ShmPointerAnalysis::run() {
       // has facts (cheap filter).
       bool has_arg_fact = false;
       for (const auto& arg : callee->args()) {
-        if (facts_.contains(arg.get())) {
+        if (facts_.contains(arg->id())) {
           has_arg_fact = true;
           break;
         }
@@ -373,17 +374,12 @@ bool shmRelevantTarget(const ir::Function* target,
 // approximation to be verified separately.
 void ShmPointerAnalysis::digestInput(const ir::Function& fn,
                                      support::Fnv1a& h) const {
-  const ValueIndex& vi = memo_.index->of(fn);
   hashToken(h, "shm-in");
   hashToken(h, fn.name());
-  const auto& values = vi.values();
-  for (std::size_t id = 0; id < values.size(); ++id) {
-    const auto it = facts_.find(values[id]);
-    if (it == facts_.end()) continue;
-    hashUint(h, id);
-    hashShmInfo(h, it->second);
-    const auto cit = update_counts_.find(values[id]);
-    hashUint(h, cit == update_counts_.end() ? 0 : cit->second);
+  for (const auto& [id, info] : localEntries(facts_, fn)) {
+    hashUint(h, id - fn.firstLocalId());
+    hashShmInfo(h, info);
+    hashUint(h, update_counts_[id]);
   }
   hashToken(h, "ret");
   const auto rit = returns_.find(&fn);
@@ -397,13 +393,12 @@ void ShmPointerAnalysis::digestInput(const ir::Function& fn,
         if (!shmRelevantTarget(target, regions_)) continue;
         hashToken(h, target->name());
         for (std::size_t p = 0; p < target->args().size(); ++p) {
-          const ir::Value* formal = target->args()[p].get();
+          const std::uint32_t formal = target->args()[p]->id();
           const auto fit = facts_.find(formal);
           if (fit == facts_.end()) continue;
           hashUint(h, p);
           hashShmInfo(h, fit->second);
-          const auto cit = update_counts_.find(formal);
-          hashUint(h, cit == update_counts_.end() ? 0 : cit->second);
+          hashUint(h, update_counts_[formal]);
         }
         const auto trit = returns_.find(target);
         hashUint(h, trit == returns_.end() ? 0 : 1);
@@ -416,7 +411,6 @@ void ShmPointerAnalysis::digestInput(const ir::Function& fn,
 std::string ShmPointerAnalysis::captureRecord(const ir::Function& fn,
                                               bool identity,
                                               bool ret_changed) const {
-  const ValueIndex& vi = memo_.index->of(fn);
   BlobWriter w;
   // Identity records (post-digest == pre-digest, i.e. the solve changed
   // nothing in the digested read/write set) let a hit skip the state
@@ -426,17 +420,12 @@ std::string ShmPointerAnalysis::captureRecord(const ir::Function& fn,
   w.u64(identity ? 1 : 0);
   w.u64(ret_changed ? 1 : 0);
 
-  const auto& values = vi.values();
-  std::vector<std::size_t> own;
-  for (std::size_t id = 0; id < values.size(); ++id) {
-    if (facts_.count(values[id]) != 0) own.push_back(id);
-  }
-  w.u64(own.size());
-  for (const std::size_t id : own) {
-    w.u64(id);
-    writeShmInfo(w, facts_.at(values[id]));
-    const auto cit = update_counts_.find(values[id]);
-    w.u64(cit == update_counts_.end() ? 0 : cit->second);
+  const auto own = localEntries(facts_, fn);
+  w.u64(static_cast<std::uint64_t>(std::ranges::distance(own)));
+  for (const auto& [id, info] : own) {
+    w.u64(id - fn.firstLocalId());
+    writeShmInfo(w, info);
+    w.u64(update_counts_[id]);
   }
 
   const auto rit = returns_.find(&fn);
@@ -445,14 +434,14 @@ std::string ShmPointerAnalysis::captureRecord(const ir::Function& fn,
 
   // Callee formals this function's call sites may have written.
   std::set<std::pair<std::string, std::size_t>> seen;
-  std::vector<std::tuple<std::string, std::size_t, const ir::Value*>> slots;
+  std::vector<std::tuple<std::string, std::size_t, std::uint32_t>> slots;
   for (const auto& bb : fn.blocks()) {
     for (const auto& inst : bb->instructions()) {
       if (inst->opcode() != ir::Opcode::kCall) continue;
       for (const ir::Function* target : callgraph_.targets(*inst)) {
         if (!shmRelevantTarget(target, regions_)) continue;
         for (std::size_t p = 0; p < target->args().size(); ++p) {
-          const ir::Value* formal = target->args()[p].get();
+          const std::uint32_t formal = target->args()[p]->id();
           if (facts_.count(formal) == 0) continue;
           if (!seen.insert({target->name(), p}).second) continue;
           slots.emplace_back(target->name(), p, formal);
@@ -465,8 +454,7 @@ std::string ShmPointerAnalysis::captureRecord(const ir::Function& fn,
     w.str(name);
     w.u64(p);
     writeShmInfo(w, facts_.at(formal));
-    const auto cit = update_counts_.find(formal);
-    w.u64(cit == update_counts_.end() ? 0 : cit->second);
+    w.u64(update_counts_[formal]);
   }
   return w.take();
 }
@@ -474,15 +462,13 @@ std::string ShmPointerAnalysis::captureRecord(const ir::Function& fn,
 bool ShmPointerAnalysis::applyRecord(const ir::Function& fn,
                                      const std::string& blob,
                                      bool* ret_changed) {
-  const ValueIndex& vi = memo_.index->of(fn);
-  const auto& values = vi.values();
   BlobReader r(blob);
 
   // Parse everything into staging first: a malformed blob must not leave
   // partially-applied state behind (the caller falls back to a live run).
   r.u64();  // identity flag, already consumed by the caller's peek
   const bool rc = r.u64() != 0;
-  std::vector<std::pair<const ir::Value*, std::pair<ShmPtrInfo, unsigned>>>
+  std::vector<std::pair<std::uint32_t, std::pair<ShmPtrInfo, unsigned>>>
       staged;
   const std::uint64_t own = r.u64();
   for (std::uint64_t i = 0; i < own && r.ok(); ++i) {
@@ -490,8 +476,9 @@ bool ShmPointerAnalysis::applyRecord(const ir::Function& fn,
     ShmPtrInfo info;
     if (!readShmInfo(r, &info)) return false;
     const unsigned count = static_cast<unsigned>(r.u64());
-    if (id >= values.size()) return false;
-    staged.push_back({values[id], {info, count}});
+    if (id >= fn.localCount()) return false;
+    staged.push_back(
+        {fn.firstLocalId() + static_cast<std::uint32_t>(id), {info, count}});
   }
   bool have_ret = false;
   ShmPtrInfo ret_info;
@@ -508,13 +495,13 @@ bool ShmPointerAnalysis::applyRecord(const ir::Function& fn,
     const unsigned count = static_cast<unsigned>(r.u64());
     const ir::Function* target = memo_.index->function(name);
     if (target == nullptr || p >= target->args().size()) return false;
-    staged.push_back({target->args()[p].get(), {info, count}});
+    staged.push_back({target->args()[p]->id(), {info, count}});
   }
   if (!r.ok() || !r.atEnd()) return false;
 
-  for (const auto& [v, rec] : staged) {
-    facts_[v] = rec.first;
-    update_counts_[v] = rec.second;
+  for (const auto& [id, rec] : staged) {
+    facts_[id] = rec.first;
+    update_counts_[id] = rec.second;
   }
   if (have_ret) returns_[&fn] = ret_info;
   *ret_changed = rc;
@@ -550,11 +537,11 @@ bool ShmPointerAnalysis::memoizedAnalyze(const ir::Function& fn) {
 std::uint64_t ShmPointerAnalysis::digestState(
     const ModuleIndex& index) const {
   std::map<std::string, std::string> items;
-  for (const auto& [v, info] : facts_) {
-    const auto [owner, id] = index.locate(v);
+  for (const auto& [id, info] : facts_) {
+    const auto [owner, pos] = index.locate(index.module().value(id));
     const std::string name =
         (owner != nullptr ? owner->name() : std::string("?")) + "#" +
-        std::to_string(id);
+        std::to_string(pos);
     items["v:" + name] = shmInfoStr(info);
   }
   for (const auto& [fn, info] : returns_) {
@@ -569,7 +556,7 @@ std::uint64_t ShmPointerAnalysis::digestState(
 }
 
 const ShmPtrInfo* ShmPointerAnalysis::info(const ir::Value* v) const {
-  auto it = facts_.find(v);
+  auto it = facts_.find(v->id());
   return (it == facts_.end() || it->second.empty()) ? nullptr : &it->second;
 }
 

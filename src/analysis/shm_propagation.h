@@ -85,8 +85,8 @@ class ShmPointerAnalysis {
   support::AnalysisBudget* budget_ = nullptr;
   PhaseMemoHooks memo_;
 
-  std::map<const ir::Value*, ShmPtrInfo> facts_;
-  std::map<const ir::Value*, unsigned> update_counts_;
+  std::map<std::uint32_t, ShmPtrInfo> facts_;  // by value id
+  std::vector<unsigned> update_counts_;          // by value id
   std::map<const ir::Function*, ShmPtrInfo> returns_;
   std::size_t iterations_ = 0;
 };

@@ -56,7 +56,7 @@ ShmRegionTable ShmRegionTable::build(const ir::Module& module,
         }
         const ir::GlobalVar* g = traceToGlobal(inst->operand(0));
         if (g == nullptr || !g->valueType()->isInteger()) continue;
-        if (table.by_global_.contains(g)) continue;
+        if (table.by_global_.contains(g->id())) continue;
         ShmRegion channel;
         channel.id = static_cast<int>(table.regions_.size());
         channel.name = g->name();
@@ -64,7 +64,7 @@ ShmRegionTable ShmRegionTable::build(const ir::Module& module,
         channel.noncore = true;
         channel.is_message_channel = true;
         channel.location = inst->location();
-        table.by_global_[g] = channel.id;
+        table.by_global_[g->id()] = channel.id;
         table.regions_.push_back(channel);
       }
     }
@@ -86,7 +86,7 @@ ShmRegionTable ShmRegionTable::build(const ir::Module& module,
                         "shmvar must name a global shared-memory pointer");
             continue;
           }
-          if (table.by_global_.contains(g)) {
+          if (table.by_global_.contains(g->id())) {
             diags.error(inst->location(), "annotation",
                         "duplicate shmvar declaration for '" + g->name() +
                             "'");
@@ -104,7 +104,7 @@ ShmRegionTable ShmRegionTable::build(const ir::Module& module,
           region.size =
               static_cast<const ir::ConstantInt*>(inst->operand(1))->value();
           region.location = inst->location();
-          table.by_global_[g] = region.id;
+          table.by_global_[g->id()] = region.id;
           table.regions_.push_back(region);
         } else if (callee == ir::kIntrinsicNonCore) {
           const ir::GlobalVar* g = traceToGlobal(inst->operand(0));
@@ -135,8 +135,8 @@ void ShmRegionTable::verifyInitCheck(const ir::Module& module,
   // Abstract state: byte offset of each value within "the" shm segment.
   // shmat-style allocator results sit at offset 0; pointer arithmetic and
   // casts shift/copy it; stores into the region globals bind the offsets.
-  std::map<const ir::Value*, std::int64_t> offsets;
-  std::map<const ir::GlobalVar*, std::int64_t> region_offsets;
+  std::map<std::uint32_t, std::int64_t> offsets;  // by value id
+  std::map<std::uint32_t, std::int64_t> region_offsets;  // by global id
 
   for (const ir::Function* fn : init_functions_) {
     if (!fn->isDefined()) continue;
@@ -147,16 +147,16 @@ void ShmRegionTable::verifyInitCheck(const ir::Module& module,
             if (inst->direct_callee != nullptr &&
                 (inst->direct_callee->name() == "shmat" ||
                  inst->direct_callee->name() == "mmap")) {
-              offsets[inst.get()] = 0;
+              offsets[inst->id()] = 0;
             }
             break;
           case ir::Opcode::kCast: {
-            auto it = offsets.find(inst->operand(0));
-            if (it != offsets.end()) offsets[inst.get()] = it->second;
+            auto it = offsets.find(inst->operand(0)->id());
+            if (it != offsets.end()) offsets[inst->id()] = it->second;
             break;
           }
           case ir::Opcode::kIndexAddr: {
-            auto base = offsets.find(inst->operand(0));
+            auto base = offsets.find(inst->operand(0)->id());
             if (base == offsets.end()) break;
             const ir::Value* idx = inst->operand(1);
             if (idx->kind() != ir::Value::Kind::kConstantInt) break;
@@ -168,7 +168,7 @@ void ShmRegionTable::verifyInitCheck(const ir::Module& module,
                       ->size());
               if (elem == 0) elem = 1;
             }
-            offsets[inst.get()] =
+            offsets[inst->id()] =
                 base->second +
                 static_cast<const ir::ConstantInt*>(idx)->value() * elem;
             break;
@@ -179,29 +179,29 @@ void ShmRegionTable::verifyInitCheck(const ir::Module& module,
             if (inst->operand(0)->kind() == ir::Value::Kind::kGlobalVar) {
               const auto* g =
                   static_cast<const ir::GlobalVar*>(inst->operand(0));
-              auto it = region_offsets.find(g);
+              auto it = region_offsets.find(g->id());
               if (it != region_offsets.end()) {
-                offsets[inst.get()] = it->second;
+                offsets[inst->id()] = it->second;
               }
             } else {
-              auto it = offsets.find(inst->operand(0));
-              if (it != offsets.end()) offsets[inst.get()] = it->second;
+              auto it = offsets.find(inst->operand(0)->id());
+              if (it != offsets.end()) offsets[inst->id()] = it->second;
             }
             break;
           }
           case ir::Opcode::kStore: {
-            auto v = offsets.find(inst->operand(0));
+            auto v = offsets.find(inst->operand(0)->id());
             if (v == offsets.end()) break;
             if (inst->operand(1)->kind() == ir::Value::Kind::kGlobalVar) {
               const auto* g =
                   static_cast<const ir::GlobalVar*>(inst->operand(1));
-              region_offsets[g] = v->second;
+              region_offsets[g->id()] = v->second;
             } else if (inst->operand(1)->isInstruction() &&
                        static_cast<const ir::Instruction*>(
                            inst->operand(1))
                                ->opcode() == ir::Opcode::kAlloca) {
               // Local cursor variable that escaped promotion.
-              offsets[inst->operand(1)] = v->second;
+              offsets[inst->operand(1)->id()] = v->second;
             }
             break;
           }
@@ -222,7 +222,7 @@ void ShmRegionTable::verifyInitCheck(const ir::Module& module,
   std::vector<Extent> extents;
   for (const ShmRegion& r : regions_) {
     if (r.is_message_channel) continue;
-    auto it = region_offsets.find(r.pointer_global);
+    auto it = region_offsets.find(r.pointer_global->id());
     if (it == region_offsets.end()) return;  // not statically derivable
     extents.push_back(Extent{it->second, it->second + r.size, &r});
   }
@@ -248,7 +248,7 @@ const ShmRegion* ShmRegionTable::byId(int id) const {
 }
 
 const ShmRegion* ShmRegionTable::byGlobal(const ir::GlobalVar* g) const {
-  auto it = by_global_.find(g);
+  auto it = by_global_.find(g->id());
   return it == by_global_.end() ? nullptr : byId(it->second);
 }
 

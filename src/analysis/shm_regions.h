@@ -85,7 +85,7 @@ class ShmRegionTable {
                        support::DiagnosticEngine& diags);
 
   std::vector<ShmRegion> regions_;
-  std::map<const ir::GlobalVar*, int> by_global_;
+  std::map<std::uint32_t, int> by_global_;  // global id -> region id
   std::vector<const ir::Function*> init_functions_;
   bool init_check_static_ = false;
 };

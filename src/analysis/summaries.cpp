@@ -26,60 +26,26 @@ void hashUNum(support::Fnv1a& h, std::uint64_t v) {
 // Positional value naming
 // ---------------------------------------------------------------------------
 
-ValueIndex::ValueIndex(const ir::Function& fn) {
-  for (const auto& arg : fn.args()) {
-    ids_[arg.get()] = static_cast<int>(values_.size());
-    values_.push_back(arg.get());
-  }
-  for (const auto& bb : fn.blocks()) {
-    for (const auto& inst : bb->instructions()) {
-      ids_[inst.get()] = static_cast<int>(values_.size());
-      values_.push_back(inst.get());
-    }
-  }
-}
-
-int ValueIndex::idOf(const ir::Value* v) const {
-  const auto it = ids_.find(v);
-  return it == ids_.end() ? -1 : it->second;
-}
-
-ModuleIndex::ModuleIndex(const ir::Module& module) {
-  for (const auto& fn : module.functions()) {
-    by_name_[fn->name()] = fn.get();
-    if (!fn->isDefined()) continue;
-    const auto [it, inserted] = indexes_.emplace(fn.get(), ValueIndex(*fn));
-    const auto& values = it->second.values();
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      owners_[values[i]] = {fn.get(), static_cast<int>(i)};
-    }
-  }
-}
-
-const ValueIndex& ModuleIndex::of(const ir::Function& fn) const {
-  const auto it = indexes_.find(&fn);
-  return it == indexes_.end() ? empty_ : it->second;
-}
-
 std::pair<const ir::Function*, int> ModuleIndex::locate(
     const ir::Value* v) const {
-  const auto it = owners_.find(v);
-  return it == owners_.end() ? std::pair<const ir::Function*, int>{nullptr, -1}
-                             : it->second;
+  const ir::Function* fn = nullptr;
+  if (v->kind() == ir::Value::Kind::kArgument) {
+    fn = static_cast<const ir::Argument*>(v)->parent();
+  } else if (v->isInstruction()) {
+    fn = static_cast<const ir::Instruction*>(v)->parent()->parent();
+  }
+  if (fn == nullptr || !fn->isDefined()) return {nullptr, -1};
+  return {fn, static_cast<int>(v->id() - fn->firstLocalId())};
 }
 
 const ir::Value* ModuleIndex::resolve(const std::string& fn_name,
                                       int id) const {
   const ir::Function* fn = function(fn_name);
-  if (fn == nullptr || id < 0) return nullptr;
-  const auto& values = of(*fn).values();
-  if (static_cast<std::size_t>(id) >= values.size()) return nullptr;
-  return values[static_cast<std::size_t>(id)];
-}
-
-const ir::Function* ModuleIndex::function(const std::string& name) const {
-  const auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : it->second;
+  if (fn == nullptr || !fn->isDefined() || id < 0 ||
+      static_cast<std::uint32_t>(id) >= fn->localCount()) {
+    return nullptr;
+  }
+  return module_.value(fn->firstLocalId() + static_cast<std::uint32_t>(id));
 }
 
 // ---------------------------------------------------------------------------
@@ -137,7 +103,7 @@ void hashType(const ir::Type* type, support::Fnv1a& h, int depth) {
 
 namespace {
 
-void hashOperand(const ir::Value* v, const ValueIndex& vi,
+void hashOperand(const ir::Value* v, const ir::Function& fn,
                  support::Fnv1a& h) {
   switch (v->kind()) {
     case ir::Value::Kind::kConstantInt:
@@ -164,17 +130,13 @@ void hashOperand(const ir::Value* v, const ValueIndex& vi,
       hashBytes(h, v->name());
       hashType(static_cast<const ir::GlobalVar*>(v)->valueType(), h);
       return;
-    case ir::Value::Kind::kFunction:
-      hashBytes(h, "f");
-      hashBytes(h, v->name());
-      return;
     case ir::Value::Kind::kUndef:
       hashBytes(h, "undef");
       return;
     default:
       // Function-local argument or instruction: positional reference.
       hashBytes(h, "v");
-      hashNum(h, vi.idOf(v));
+      hashNum(h, static_cast<std::int64_t>(v->id()) - fn.firstLocalId());
       return;
   }
 }
@@ -182,7 +144,6 @@ void hashOperand(const ir::Value* v, const ValueIndex& vi,
 }  // namespace
 
 void hashFunction(const ir::Function& fn, support::Fnv1a& h) {
-  const ValueIndex vi(fn);
   hashBytes(h, "fn");
   hashBytes(h, fn.name());
   hashNum(h, fn.annotations.is_shminit ? 1 : 0);
@@ -224,7 +185,7 @@ void hashFunction(const ir::Function& fn, support::Fnv1a& h) {
         default:
           break;
       }
-      for (const ir::Value* op : inst->operands()) hashOperand(op, vi, h);
+      for (const ir::Value* op : inst->operands()) hashOperand(op, fn, h);
       for (const ir::BasicBlock* ref : inst->block_refs) {
         hashNum(h, block_ids[ref]);
       }

@@ -10,12 +10,14 @@
 //      function invalidates exactly its dependency cone up the call
 //      graph; a comment-only edit invalidates nothing.
 //
-//   2. Positional naming: memo blobs must not contain raw pointers, so
-//      ValueIndex numbers a function's values (arguments first, then
-//      instructions in block order) and ModuleIndex resolves
-//      (function-name, position) pairs back to live IR values on a later
-//      run. stableObjectName() does the same for alias objects, whose
-//      ObjId allocation order is not reproducible across runs.
+//   2. Positional naming: memo blobs must not contain raw pointers or
+//      module-wide ids (both shift between runs), so they name a local
+//      value by (owner function, position), where the position is
+//      Value::id() - Function::firstLocalId() (arguments first, then
+//      instructions in block order). ModuleIndex turns values into such
+//      pairs and back. stableObjectName() does the same for alias
+//      objects, whose ObjId allocation order is not reproducible across
+//      runs.
 //
 //   3. The memo seam: each interprocedural fixpoint treats its
 //      per-function local solve as a deterministic state transformer.
@@ -33,6 +35,7 @@
 
 #include <cstdint>
 #include <map>
+#include <ranges>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,35 +49,15 @@ namespace safeflow::analysis {
 class AliasAnalysis;
 using ObjId = int;
 
-/// Dense positional numbering of one function's local values: arguments
-/// in declaration order, then instructions in block order. Positions are
-/// stable across runs as long as the function body is unchanged — which
-/// is exactly the regime in which memo blobs are replayed, because the
-/// blob is keyed by the body hash.
-class ValueIndex {
- public:
-  ValueIndex() = default;
-  explicit ValueIndex(const ir::Function& fn);
-
-  /// Position of a function-local value (argument or instruction), or -1.
-  [[nodiscard]] int idOf(const ir::Value* v) const;
-  [[nodiscard]] const std::vector<const ir::Value*>& values() const {
-    return values_;
-  }
-
- private:
-  std::map<const ir::Value*, int> ids_;
-  std::vector<const ir::Value*> values_;
-};
-
-/// ValueIndex for every defined function in a module, plus reverse maps
-/// so cross-function references (e.g. taint sources pointing at another
-/// function's load) round-trip through (owner name, position) pairs.
+/// Cross-run names for function-local values: (owner function, position)
+/// pairs, stable as long as the function body is unchanged — which is
+/// exactly the regime in which memo blobs are replayed, because the blob
+/// is keyed by the body hash. Reads the numbering of a promoted module
+/// (ir::Module::numberValues); holds no per-value state.
 class ModuleIndex {
  public:
-  explicit ModuleIndex(const ir::Module& module);
+  explicit ModuleIndex(const ir::Module& module) : module_(module) {}
 
-  [[nodiscard]] const ValueIndex& of(const ir::Function& fn) const;
   /// Owner function and position of a local value; {nullptr, -1} for
   /// constants, globals, and other non-local values.
   [[nodiscard]] std::pair<const ir::Function*, int> locate(
@@ -82,14 +65,23 @@ class ModuleIndex {
   /// Live value at (function name, position), or nullptr.
   [[nodiscard]] const ir::Value* resolve(const std::string& fn_name,
                                          int id) const;
-  [[nodiscard]] const ir::Function* function(const std::string& name) const;
+  [[nodiscard]] const ir::Function* function(const std::string& name) const {
+    return module_.findFunction(name);
+  }
+  [[nodiscard]] const ir::Module& module() const { return module_; }
 
  private:
-  std::map<const ir::Function*, ValueIndex> indexes_;
-  std::map<std::string, const ir::Function*> by_name_;
-  std::map<const ir::Value*, std::pair<const ir::Function*, int>> owners_;
-  ValueIndex empty_;
+  const ir::Module& module_;
 };
+
+/// The entries of a map keyed by value id that belong to fn's arguments
+/// and instructions, in position order.
+template <typename Map>
+[[nodiscard]] auto localEntries(const Map& map, const ir::Function& fn) {
+  return std::ranges::subrange(
+      map.lower_bound(fn.firstLocalId()),
+      map.lower_bound(fn.firstLocalId() + fn.localCount()));
+}
 
 /// Digest-building helpers shared by the phases: every token is followed
 /// by a unit separator so adjacent fields can never alias ("ab"+"c" vs
@@ -125,7 +117,7 @@ void hashType(const ir::Type* type, support::Fnv1a& h, int depth = 0);
 /// Streams the function's canonical SSA bytes into the hasher: name,
 /// annotation flags, argument types, then every instruction's opcode,
 /// payloads, result type, and operands (locals by position, constants by
-/// value, globals/functions by name). Source locations are deliberately
+/// value, globals by name). Source locations are deliberately
 /// excluded, so comment/whitespace edits hash identically.
 void hashFunction(const ir::Function& fn, support::Fnv1a& h);
 

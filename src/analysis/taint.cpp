@@ -24,7 +24,7 @@ bool Taint::mergeConcrete(const Taint& other) {
     const bool new_region = !sources.contains(region);
     auto& mine = sources[region];
     if (new_region) changed = true;
-    for (const ir::Instruction* load : loads) {
+    for (const std::uint32_t load : loads) {
       changed |= mine.insert(load).second;
     }
   }
@@ -208,7 +208,7 @@ bool TaintAnalysis::isCovered(const ShmPtrInfo& ptr,
 // ---------------------------------------------------------------------------
 
 TaintPair TaintAnalysis::operandTaint(const ir::Value* v) const {
-  auto it = value_taint_.find(v);
+  auto it = value_taint_.find(v->id());
   return it == value_taint_.end() ? TaintPair{} : it->second;
 }
 
@@ -219,7 +219,7 @@ TaintPair TaintAnalysis::resolveConcrete(const TaintPair& t,
   out.control.sources = t.control.sources;
   auto concrete_of = [this, &fn](unsigned p) -> TaintPair {
     if (p >= fn.args().size()) return {};
-    auto it = arg_concrete_.find(fn.args()[p].get());
+    auto it = arg_concrete_.find(fn.args()[p]->id());
     return it == arg_concrete_.end() ? TaintPair{} : it->second;
   };
   for (unsigned p : t.data.params) {
@@ -241,7 +241,7 @@ Taint TaintAnalysis::resolveConcreteControl(const Taint& t,
   out.sources = t.sources;
   for (unsigned p : t.params) {
     if (p >= fn.args().size()) continue;
-    auto it = arg_concrete_.find(fn.args()[p].get());
+    auto it = arg_concrete_.find(fn.args()[p]->id());
     if (it == arg_concrete_.end()) continue;
     out.mergeConcrete(it->second.data);
     out.mergeConcrete(it->second.control);
@@ -289,7 +289,7 @@ TaintPair TaintAnalysis::loadTaint(const ir::Instruction& load,
       const ShmRegion* r = regions_.byId(region);
       if (r == nullptr || !r->noncore) continue;  // core regions are safe
       if (isCovered(*info, access_size, assumptions, region)) continue;
-      out.data.sources[region].insert(&load);
+      out.data.sources[region].insert(load.id());
     }
   } else {
     // Ordinary memory: pick up whatever taint was stored in the objects
@@ -328,7 +328,7 @@ Taint TaintAnalysis::blockControlTaint(const ir::BasicBlock* bb) const {
     // A branch the range analysis decides always goes one way exerts no
     // runtime control over this block: its condition cannot leak here.
     if (ranges_ != nullptr && ranges_->decidedBranch(term).has_value()) {
-      if (pruned_branches_.insert(term).second) {
+      if (pruned_branches_.insert(term->id()).second) {
         SAFEFLOW_COUNT("ranges.control_edges_pruned");
       }
       continue;
@@ -360,7 +360,7 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
   for (const auto& arg : fn.args()) {
     TaintPair symbol;
     symbol.data.params.insert(arg->index());
-    changed_any |= value_taint_[arg.get()].merge(symbol);
+    changed_any |= value_taint_[arg->id()].merge(symbol);
   }
   bool changed = true;
   while (changed) {
@@ -409,7 +409,7 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
               // never flow at runtime: skip the operand entirely.
               if (ranges_ != nullptr && i < inst->block_refs.size() &&
                   ranges_->edgeInfeasible(inst->block_refs[i], bb.get())) {
-                if (pruned_phi_edges_.insert({inst.get(), i}).second) {
+                if (pruned_phi_edges_.insert({inst->id(), i}).second) {
                   SAFEFLOW_COUNT("ranges.phi_edges_pruned");
                 }
                 continue;
@@ -458,7 +458,7 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
           result.control.merge(block_control);
         }
         if (!result.empty()) {
-          changed |= value_taint_[inst.get()].merge(result);
+          changed |= value_taint_[inst->id()].merge(result);
         }
       }
     }
@@ -504,7 +504,7 @@ TaintPair TaintAnalysis::evalReceive(const ir::Instruction& call) {
         fd != nullptr ? regions_.channelByGlobal(fd) : nullptr;
     if (channel == nullptr) return {};  // core channel: received data safe
     TaintPair incoming;
-    incoming.data.sources[channel->id].insert(&call);
+    incoming.data.sources[channel->id].insert(call.id());
     for (ObjId obj : alias_.pointsTo(call.operand(rc.buffer_arg))) {
       if (alias_.regionOf(obj) >= 0) continue;
       object_taint_[obj].merge(incoming);
@@ -546,7 +546,7 @@ TaintPair TaintAnalysis::evalCall(const ir::Instruction& call,
           resolveConcrete(operandTaint(call.operand(i)), *caller);
       if (!arg.empty()) {
         side_effect_changed_ |=
-            arg_concrete_[target->args()[p].get()].merge(arg);
+            arg_concrete_[target->args()[p]->id()].merge(arg);
       }
     }
 
@@ -664,37 +664,17 @@ namespace {
 
 /// Cross-run stable, order-independent encoding of a Taint: sources as
 /// sorted (owner function, position) pairs, params as sorted indices.
+/// (Ids follow module order, which an edit elsewhere can shift.)
 std::vector<std::pair<std::string, int>> sortedRefs(
-    const std::set<const ir::Instruction*>& insts, const ModuleIndex& index) {
+    const std::set<std::uint32_t>& ids, const ModuleIndex& index) {
   std::vector<std::pair<std::string, int>> refs;
-  refs.reserve(insts.size());
-  for (const ir::Instruction* inst : insts) {
-    const auto [fn, id] = index.locate(inst);
-    refs.emplace_back(fn != nullptr ? fn->name() : std::string("?"), id);
+  refs.reserve(ids.size());
+  for (const std::uint32_t id : ids) {
+    const auto [fn, pos] = index.locate(index.module().value(id));
+    refs.emplace_back(fn != nullptr ? fn->name() : std::string("?"), pos);
   }
   std::sort(refs.begin(), refs.end());
   return refs;
-}
-
-void hashTaint(support::Fnv1a& h, const Taint& t, const ModuleIndex& index) {
-  hashUint(h, t.sources.size());
-  for (const auto& [region, insts] : t.sources) {
-    hashInt(h, region);
-    const auto refs = sortedRefs(insts, index);
-    hashUint(h, refs.size());
-    for (const auto& [owner, id] : refs) {
-      hashToken(h, owner);
-      hashInt(h, id);
-    }
-  }
-  hashUint(h, t.params.size());
-  for (const unsigned p : t.params) hashUint(h, p);
-}
-
-void hashTaintPair(support::Fnv1a& h, const TaintPair& t,
-                   const ModuleIndex& index) {
-  hashTaint(h, t.data, index);
-  hashTaint(h, t.control, index);
 }
 
 void writeTaint(BlobWriter& w, const Taint& t, const ModuleIndex& index) {
@@ -722,7 +702,7 @@ bool readTaint(BlobReader& r, Taint* t, const ModuleIndex& index) {
       const int id = static_cast<int>(r.i64());
       const ir::Value* v = index.resolve(owner, id);
       if (v == nullptr || !v->isInstruction()) return false;
-      t->sources[region].insert(static_cast<const ir::Instruction*>(v));
+      t->sources[region].insert(v->id());
     }
   }
   const std::uint64_t nparams = r.u64();
@@ -804,14 +784,15 @@ const std::string& TaintAnalysis::memoObjectName(ObjId obj) const {
 }
 
 const std::string& TaintAnalysis::memoSetNames(const ObjSet& objs) const {
-  const auto [it, inserted] = memo_set_names_.try_emplace(&objs);
-  if (!inserted) return it->second;
+  memo_set_names_.resize(alias_.pool().size());
+  std::string& bytes = memo_set_names_[static_cast<std::size_t>(
+      &objs - alias_.pool().data())];
+  if (!bytes.empty()) return bytes;
   std::vector<const std::string*> names;
   names.reserve(objs.size());
   for (const ObjId obj : objs) names.push_back(&memoObjectName(obj));
   std::sort(names.begin(), names.end(),
             [](const std::string* a, const std::string* b) { return *a < *b; });
-  std::string& bytes = it->second;
   for (const std::string* n : names) {
     bytes += *n;
     bytes += kTokenSeparator;
@@ -830,8 +811,6 @@ const TaintAnalysis::MemoStatics& TaintAnalysis::memoStatics(
   const auto cached = memo_statics_.find(&fn);
   if (cached != memo_statics_.end()) return cached->second;
 
-  const ModuleIndex& index = *memo_.index;
-  const ValueIndex& vi = index.of(fn);
   MemoStatics st;
   support::Fnv1a h;
   hashToken(h, "taint-static");
@@ -844,10 +823,10 @@ const TaintAnalysis::MemoStatics& TaintAnalysis::memoStatics(
     hashInt(h, a.size);
   }
 
-  const auto& values = vi.values();
+  const std::uint32_t first = fn.firstLocalId();
   hashToken(h, "shm");
-  for (std::size_t id = 0; id < values.size(); ++id) {
-    const ShmPtrInfo* info = shm_.info(values[id]);
+  for (std::uint32_t id = 0; id < fn.localCount(); ++id) {
+    const ShmPtrInfo* info = shm_.info(module_.value(first + id));
     if (info == nullptr) continue;
     hashUint(h, id);
     hashUint(h, info->regions.size());
@@ -859,9 +838,10 @@ const TaintAnalysis::MemoStatics& TaintAnalysis::memoStatics(
 
   hashToken(h, "ranges");
   if (ranges_ != nullptr) {
-    for (std::size_t id = 0; id < values.size(); ++id) {
-      if (!values[id]->isInstruction()) continue;
-      const auto* inst = static_cast<const ir::Instruction*>(values[id]);
+    for (std::uint32_t id = 0; id < fn.localCount(); ++id) {
+      const ir::Value* v = module_.value(first + id);
+      if (!v->isInstruction()) continue;
+      const auto* inst = static_cast<const ir::Instruction*>(v);
       if (inst->opcode() == ir::Opcode::kCondBr) {
         const auto d = ranges_->decidedBranch(inst);
         hashUint(h, id);
@@ -915,29 +895,31 @@ const TaintAnalysis::MemoStatics& TaintAnalysis::memoStatics(
   return memo_statics_.emplace(&fn, std::move(st)).first->second;
 }
 
-std::uint64_t TaintAnalysis::memoRefHash(const ir::Instruction* inst) const {
-  const auto it = memo_ref_hash_.find(inst);
-  if (it != memo_ref_hash_.end()) return it->second;
-  const auto [owner, id] = memo_.index->locate(inst);
-  support::Fnv1a h;
-  hashToken(h, owner != nullptr ? owner->name() : std::string("?"));
-  hashInt(h, id);
-  return memo_ref_hash_.emplace(inst, h.digest()).first->second;
+std::uint64_t TaintAnalysis::memoRefHash(std::uint32_t id) const {
+  memo_ref_hash_.resize(module_.valueCount());
+  std::uint64_t& hash = memo_ref_hash_[id];
+  if (hash == 0) {
+    const auto [owner, pos] = memo_.index->locate(module_.value(id));
+    support::Fnv1a h;
+    hashToken(h, owner != nullptr ? owner->name() : std::string("?"));
+    hashInt(h, pos);
+    hash = h.digest();
+  }
+  return hash;
 }
 
 void TaintAnalysis::hashTaintDigest(support::Fnv1a& h, const Taint& t) const {
   hashUint(h, t.sources.size());
   std::vector<std::uint64_t> refs;
-  for (const auto& [region, insts] : t.sources) {
+  for (const auto& [region, ids] : t.sources) {
     hashInt(h, region);
     refs.clear();
-    refs.reserve(insts.size());
-    for (const ir::Instruction* inst : insts) {
-      refs.push_back(memoRefHash(inst));
-    }
-    // Sources live in pointer-keyed sets; sorting the stable per-ref
-    // hashes restores a cross-run canonical order without building the
-    // (owner name, id) strings sortedRefs needs for the blob codec.
+    refs.reserve(ids.size());
+    for (const std::uint32_t id : ids) refs.push_back(memoRefHash(id));
+    // Id order follows module order, which an edit elsewhere can shift;
+    // sorting the stable per-ref hashes gives a cross-run canonical
+    // order without building the (owner name, id) strings sortedRefs
+    // needs for the blob codec.
     std::sort(refs.begin(), refs.end());
     hashUint(h, refs.size());
     for (const std::uint64_t ref : refs) hashUint(h, ref);
@@ -962,21 +944,17 @@ void TaintAnalysis::digestInput(const ir::Function& fn,
                                 const AssumptionSet& assumptions,
                                 support::Fnv1a& h) const {
   const MemoStatics& st = memoStatics(fn, assumptions);
-  const ValueIndex& vi = memo_.index->of(fn);
   hashToken(h, "taint-in");
   hashUint(h, st.digest);
 
-  const auto& values = vi.values();
   hashToken(h, "vt");
-  for (std::size_t id = 0; id < values.size(); ++id) {
-    const auto it = value_taint_.find(values[id]);
-    if (it == value_taint_.end()) continue;
-    hashUint(h, id);
-    hashTaintPairDigest(h, it->second);
+  for (const auto& [id, t] : localEntries(value_taint_, fn)) {
+    hashUint(h, id - fn.firstLocalId());
+    hashTaintPairDigest(h, t);
   }
   hashToken(h, "argc");
   for (std::size_t p = 0; p < fn.args().size(); ++p) {
-    const auto it = arg_concrete_.find(fn.args()[p].get());
+    const auto it = arg_concrete_.find(fn.args()[p]->id());
     if (it == arg_concrete_.end()) continue;
     hashUint(h, p);
     hashTaintPairDigest(h, it->second);
@@ -1001,7 +979,7 @@ void TaintAnalysis::digestInput(const ir::Function& fn,
     hashUint(h, trit == return_taint_.end() ? 0 : 1);
     if (trit != return_taint_.end()) hashTaintPairDigest(h, trit->second);
     for (std::size_t p = 0; p < target->args().size(); ++p) {
-      const auto ait = arg_concrete_.find(target->args()[p].get());
+      const auto ait = arg_concrete_.find(target->args()[p]->id());
       if (ait == arg_concrete_.end()) continue;
       hashUint(h, p);
       hashTaintPairDigest(h, ait->second);
@@ -1013,7 +991,6 @@ std::string TaintAnalysis::captureRecord(const ir::Function& fn,
                                          bool identity,
                                          bool changed_any) const {
   const ModuleIndex& index = *memo_.index;
-  const ValueIndex& vi = index.of(fn);
 
   // Taint pairs are written through a per-blob intern table: in a
   // converged function most values carry the same accumulated pair, and
@@ -1034,12 +1011,9 @@ std::string TaintAnalysis::captureRecord(const ir::Function& fn,
     return idx;
   };
 
-  const auto& values = vi.values();
-  std::vector<std::pair<std::size_t, std::uint64_t>> own;
-  for (std::size_t id = 0; id < values.size(); ++id) {
-    const auto it = value_taint_.find(values[id]);
-    if (it == value_taint_.end()) continue;
-    own.emplace_back(id, intern(it->second));
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> own;
+  for (const auto& [id, t] : localEntries(value_taint_, fn)) {
+    own.emplace_back(id - fn.firstLocalId(), intern(t));
   }
 
   const auto rit = return_taint_.find(&fn);
@@ -1065,8 +1039,7 @@ std::string TaintAnalysis::captureRecord(const ir::Function& fn,
       for (const ir::Function* target : callgraph_.targets(*inst)) {
         if (!taintRelevantTarget(target, regions_)) continue;
         for (std::size_t p = 0; p < target->args().size(); ++p) {
-          const ir::Argument* formal = target->args()[p].get();
-          const auto it = arg_concrete_.find(formal);
+          const auto it = arg_concrete_.find(target->args()[p]->id());
           if (it == arg_concrete_.end()) continue;
           if (!seen.insert({target->name(), p}).second) continue;
           formal_slots.emplace_back(target->name(), p, intern(it->second));
@@ -1107,8 +1080,6 @@ std::string TaintAnalysis::captureRecord(const ir::Function& fn,
 bool TaintAnalysis::applyRecord(const ir::Function& fn,
                                 const std::string& blob, bool* changed_any) {
   const ModuleIndex& index = *memo_.index;
-  const ValueIndex& vi = index.of(fn);
-  const auto& values = vi.values();
   BlobReader r(blob);
 
   r.u64();  // identity flag, already consumed by the caller's peek
@@ -1129,13 +1100,14 @@ bool TaintAnalysis::applyRecord(const ir::Function& fn,
     return idx < table.size() ? &table[idx] : nullptr;
   };
 
-  std::vector<std::pair<const ir::Value*, const TaintPair*>> staged_values;
+  std::vector<std::pair<std::uint32_t, const TaintPair*>> staged_values;
   const std::uint64_t own = r.u64();
   for (std::uint64_t i = 0; i < own && r.ok(); ++i) {
     const std::uint64_t id = r.u64();
     const TaintPair* t = pair_at(r.u64());
-    if (!r.ok() || t == nullptr || id >= values.size()) return false;
-    staged_values.push_back({values[id], t});
+    if (!r.ok() || t == nullptr || id >= fn.localCount()) return false;
+    staged_values.push_back(
+        {fn.firstLocalId() + static_cast<std::uint32_t>(id), t});
   }
   const TaintPair* ret_taint = nullptr;
   if (r.u64() != 0) {
@@ -1154,8 +1126,7 @@ bool TaintAnalysis::applyRecord(const ir::Function& fn,
     if (!r.ok() || t == nullptr || it == footprint.end()) return false;
     staged_objects.push_back({it->second, t});
   }
-  std::vector<std::pair<const ir::Argument*, const TaintPair*>>
-      staged_formals;
+  std::vector<std::pair<std::uint32_t, const TaintPair*>> staged_formals;
   const std::uint64_t nformals = r.u64();
   for (std::uint64_t i = 0; i < nformals && r.ok(); ++i) {
     const std::string name = r.str();
@@ -1166,7 +1137,7 @@ bool TaintAnalysis::applyRecord(const ir::Function& fn,
         p >= target->args().size()) {
       return false;
     }
-    staged_formals.push_back({target->args()[p].get(), t});
+    staged_formals.push_back({target->args()[p]->id(), t});
   }
   if (!r.ok() || !r.atEnd()) return false;
 
@@ -1211,20 +1182,20 @@ bool TaintAnalysis::memoizedAnalyze(const ir::Function& fn,
 
 std::uint64_t TaintAnalysis::digestState(const ModuleIndex& index) const {
   std::map<std::string, std::string> items;
-  const auto stable = [&index](const ir::Value* v) {
-    const auto [owner, id] = index.locate(v);
+  const auto stable = [&index](std::uint32_t id) {
+    const auto [owner, pos] = index.locate(index.module().value(id));
     return (owner != nullptr ? owner->name() : std::string("?")) + "#" +
-           std::to_string(id);
+           std::to_string(pos);
   };
-  for (const auto& [v, t] : value_taint_) {
-    items["v:" + stable(v)] = taintPairStr(t, index);
+  for (const auto& [id, t] : value_taint_) {
+    items["v:" + stable(id)] = taintPairStr(t, index);
   }
   for (const auto& [obj, t] : object_taint_) {
     items["o:" + stableObjectName(alias_, index, obj)] =
         taintPairStr(t, index);
   }
-  for (const auto& [arg, t] : arg_concrete_) {
-    items["a:" + stable(arg)] = taintPairStr(t, index);
+  for (const auto& [id, t] : arg_concrete_) {
+    items["a:" + stable(id)] = taintPairStr(t, index);
   }
   for (const auto& [fn, t] : return_taint_) {
     items["r:" + fn->name()] = taintPairStr(t, index);
@@ -1328,13 +1299,13 @@ void TaintAnalysis::reportCriticalValue(SafeFlowReport& report,
         via_data ? taint.data.sources : taint.control.sources;
     auto it = source_map.find(region);
     if (it != source_map.end()) {
-      for (const ir::Instruction* load : it->second) {
-        e.source_loads.push_back(load->location());
+      for (const std::uint32_t load : it->second) {
+        e.source_loads.push_back(
+            static_cast<const ir::Instruction*>(module_.value(load))
+                ->location());
       }
-      // The set behind source_map is keyed by instruction pointer, so
-      // its iteration order is heap layout, not program order — sort by
-      // location so every run (cold, warm replay, daemon) renders the
-      // same bytes.
+      // Ids follow module order (functions in definition order, not by
+      // source position); report order is by source location.
       std::sort(e.source_loads.begin(), e.source_loads.end());
     }
     report.errors.push_back(std::move(e));

@@ -29,7 +29,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/alias.h"
@@ -46,14 +45,15 @@ namespace safeflow::analysis {
 
 class RangeAnalysis;
 
-/// region id -> the unmonitored loads that sourced it, plus symbolic
+/// region id -> the unmonitored loads that sourced it (by ir::Value::id),
+/// plus symbolic
 /// references to the enclosing function's parameters ("this value is
 /// tainted iff argument i is"). Parameter symbols make function summaries
 /// context-sensitive in their inputs (the ESP-style value-flow graphs of
 /// paper §3.3): they are substituted with the actual argument taints at
 /// each call site instead of being merged across callers.
 struct Taint {
-  std::map<int, std::set<const ir::Instruction*>> sources;
+  std::map<int, std::set<std::uint32_t>> sources;
   std::set<unsigned> params;
 
   [[nodiscard]] bool empty() const {
@@ -192,14 +192,14 @@ class TaintAnalysis {
                                  const AssumptionSet& assumptions) const;
   /// stableObjectName(obj), computed once per run.
   const std::string& memoObjectName(ObjId obj) const;
-  /// The digest bytes of one points-to set: its objects' stable names,
-  /// sorted, each followed by the token separator. Computed once per run
-  /// per set — equal sets share one interned ObjSet under the Andersen
-  /// engine, so most operands hit.
+  /// The digest bytes of one non-empty points-to set: its objects' stable
+  /// names, sorted, each followed by the token separator. Computed once
+  /// per run per set — equal sets share one interned ObjSet, so most
+  /// operands hit.
   const std::string& memoSetNames(const ObjSet& objs) const;
   /// Cross-run stable 64-bit name of a taint source instruction
   /// ((owner function, position) folded through fnv), cached per run.
-  std::uint64_t memoRefHash(const ir::Instruction* inst) const;
+  std::uint64_t memoRefHash(std::uint32_t id) const;
   /// Digest-path taint hashing: order-independent over sources via
   /// sorted memoRefHash values — no per-visit string building.
   void hashTaintDigest(support::Fnv1a& h, const Taint& t) const;
@@ -253,26 +253,25 @@ class TaintAnalysis {
   /// Per-run caches for the memo path (valid because alias/shm/ranges
   /// facts and effective assumptions are fixed inputs of this phase).
   mutable std::map<const ir::Function*, MemoStatics> memo_statics_;
-  mutable std::map<const ir::Instruction*, std::uint64_t> memo_ref_hash_;
+  mutable std::vector<std::uint64_t> memo_ref_hash_;  // by id, 0 = unset
   mutable std::vector<std::string> memo_object_names_;  // by ObjId
-  mutable std::unordered_map<const ObjSet*, std::string> memo_set_names_;
-  /// Branches / phi edges pruned via the range analysis. Sets (not raw
-  /// counters) so fixpoint revisits count each edge once and the metric
-  /// totals stay independent of iteration order.
-  mutable std::set<const ir::Instruction*> pruned_branches_;
-  mutable std::set<std::pair<const ir::Instruction*, std::size_t>>
-      pruned_phi_edges_;
+  mutable std::vector<std::string> memo_set_names_;  // by alias pool index
+  /// Branches (by id) / phi edges (id, operand) pruned via the range
+  /// analysis. Sets (not raw counters) so fixpoint revisits count each
+  /// edge once and the metric totals stay independent of iteration order.
+  mutable std::set<std::uint32_t> pruned_branches_;
+  mutable std::set<std::pair<std::uint32_t, std::size_t>> pruned_phi_edges_;
 
   std::map<const ir::Function*, AssumptionSet> local_assumptions_;
   std::map<const ir::Function*, AssumptionSet> effective_;
   std::map<const ir::Function*, bool> effective_is_top_;
 
-  std::map<const ir::Value*, TaintPair> value_taint_;
+  std::map<std::uint32_t, TaintPair> value_taint_;  // by value id
   std::map<ObjId, TaintPair> object_taint_;
-  /// Concrete (symbol-free) taint each parameter receives, merged over
-  /// call sites — used when parameter symbols escape through memory or
-  /// reach a report site inside a callee.
-  std::map<const ir::Argument*, TaintPair> arg_concrete_;
+  /// Concrete (symbol-free) taint each parameter (by argument id)
+  /// receives, merged over call sites — used when parameter symbols
+  /// escape through memory or reach a report site inside a callee.
+  std::map<std::uint32_t, TaintPair> arg_concrete_;
   std::map<const ir::Function*, TaintPair> return_taint_;
   std::map<const ir::Function*, ControlDependence> control_dep_;
   // Call-string memoization: (function, context) -> return taint.

@@ -98,33 +98,51 @@ GlobalVar* Module::findGlobal(const std::string& name) const {
 }
 
 ConstantInt* Module::constantInt(std::int64_t value, const Type* type) {
-  const auto key = std::make_pair(value, type);
-  auto it = int_constants_.find(key);
-  if (it != int_constants_.end()) return it->second.get();
-  auto owned = std::make_unique<ConstantInt>(value, type);
-  ConstantInt* raw = owned.get();
-  int_constants_[key] = std::move(owned);
-  return raw;
+  ConstantInt*& slot = int_constants_[std::make_pair(value, type)];
+  if (slot == nullptr) {
+    pool_.push_back(std::make_unique<ConstantInt>(value, type));
+    slot = static_cast<ConstantInt*>(pool_.back().get());
+  }
+  return slot;
 }
 
 ConstantFloat* Module::constantFloat(double value, const Type* type) {
-  float_constants_.push_back(std::make_unique<ConstantFloat>(value, type));
-  return float_constants_.back().get();
+  pool_.push_back(std::make_unique<ConstantFloat>(value, type));
+  return static_cast<ConstantFloat*>(pool_.back().get());
 }
 
 ConstantString* Module::constantString(std::string text) {
-  string_constants_.push_back(std::make_unique<ConstantString>(
+  pool_.push_back(std::make_unique<ConstantString>(
       std::move(text), types_.pointerTo(types_.charType())));
-  return string_constants_.back().get();
+  return static_cast<ConstantString*>(pool_.back().get());
 }
 
 Undef* Module::undef(const Type* type) {
-  auto it = undefs_.find(type);
-  if (it != undefs_.end()) return it->second.get();
-  auto owned = std::make_unique<Undef>(type);
-  Undef* raw = owned.get();
-  undefs_[type] = std::move(owned);
-  return raw;
+  Undef*& slot = undefs_[type];
+  if (slot == nullptr) {
+    pool_.push_back(std::make_unique<Undef>(type));
+    slot = static_cast<Undef*>(pool_.back().get());
+  }
+  return slot;
+}
+
+void Module::numberValues() {
+  values_.clear();
+  const auto number = [this](Value* v) {
+    v->id_ = static_cast<std::uint32_t>(values_.size());
+    values_.push_back(v);
+  };
+  for (const auto& g : globals_) number(g.get());
+  for (const auto& c : pool_) number(c.get());
+  for (const auto& fn : functions_) {
+    fn->first_local_id_ = static_cast<std::uint32_t>(values_.size());
+    for (const auto& arg : fn->args()) number(arg.get());
+    for (const auto& bb : fn->blocks()) {
+      for (const auto& inst : bb->instructions()) number(inst.get());
+    }
+    fn->local_count_ =
+        static_cast<std::uint32_t>(values_.size()) - fn->first_local_id_;
+  }
 }
 
 }  // namespace safeflow::ir

@@ -42,13 +42,15 @@ class Value {
     kConstantFloat,
     kConstantString,
     kGlobalVar,
-    kFunction,
     kUndef,
     kInstruction,
   };
 
   virtual ~Value() = default;
   [[nodiscard]] Kind kind() const { return kind_; }
+  /// Dense module-wide number, assigned once by Module::numberValues()
+  /// (see there for the order). Analyses key per-value state by it.
+  [[nodiscard]] std::uint32_t id() const { return id_; }
   [[nodiscard]] const Type* type() const { return type_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   void setName(std::string name) { name_ = std::move(name); }
@@ -62,7 +64,10 @@ class Value {
       : kind_(kind), type_(type), name_(std::move(name)) {}
 
  private:
+  friend class Module;
+
   Kind kind_;
+  std::uint32_t id_ = 0;  // fills the padding after kind_
   const Type* type_;
   std::string name_;
 };
@@ -286,10 +291,20 @@ class Function {
     return name_.rfind("safeflow.", 0) == 0;
   }
 
+  /// Id of the first argument; the function's arguments and then its
+  /// instructions in block order hold the next localCount() ids, so
+  /// `v->id() - firstLocalId()` is v's position within the function.
+  [[nodiscard]] std::uint32_t firstLocalId() const { return first_local_id_; }
+  [[nodiscard]] std::uint32_t localCount() const { return local_count_; }
+
  private:
+  friend class Module;
+
   std::string name_;
   const cfront::FunctionType* type_;
   Module* parent_;
+  std::uint32_t first_local_id_ = 0;
+  std::uint32_t local_count_ = 0;
   std::vector<std::unique_ptr<Argument>> args_;
   std::vector<std::unique_ptr<BasicBlock>> blocks_;
 };
@@ -318,11 +333,22 @@ class Module {
     return globals_;
   }
 
-  // Constant pool — constants are uniqued per (value, type).
+  // Constant pool — integer constants and undefs are uniqued per
+  // (value, type) and per type.
   ConstantInt* constantInt(std::int64_t value, const Type* type);
   ConstantFloat* constantFloat(double value, const Type* type);
   ConstantString* constantString(std::string text);
   Undef* undef(const Type* type);
+
+  /// Gives every value the module owns its id, in one walk: globals,
+  /// then the constant pool in creation order, then per function (module
+  /// order) its arguments and its instructions in block order. The order
+  /// depends only on the program, never on heap addresses. Runs at the
+  /// end of promoteModuleToSsa; the IR must not change afterwards.
+  void numberValues();
+  /// The value numbered `id` (the reverse of Value::id()).
+  [[nodiscard]] Value* value(std::uint32_t id) const { return values_[id]; }
+  [[nodiscard]] std::size_t valueCount() const { return values_.size(); }
 
  private:
   cfront::TypeContext& types_;
@@ -330,11 +356,10 @@ class Module {
   std::vector<std::unique_ptr<GlobalVar>> globals_;
   std::map<std::string, Function*> function_map_;
   std::map<std::string, GlobalVar*> global_map_;
-  std::map<std::pair<std::int64_t, const Type*>, std::unique_ptr<ConstantInt>>
-      int_constants_;
-  std::vector<std::unique_ptr<ConstantFloat>> float_constants_;
-  std::vector<std::unique_ptr<ConstantString>> string_constants_;
-  std::map<const Type*, std::unique_ptr<Undef>> undefs_;
+  std::vector<std::unique_ptr<Value>> pool_;  // creation order
+  std::map<std::pair<std::int64_t, const Type*>, ConstantInt*> int_constants_;
+  std::map<const Type*, Undef*> undefs_;
+  std::vector<Value*> values_;  // by id
 };
 
 /// Names of the annotation intrinsics emitted by the lowerer.

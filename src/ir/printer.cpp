@@ -63,8 +63,6 @@ class Printer {
         return "%" + v->name();
       case Value::Kind::kUndef:
         return "undef";
-      case Value::Kind::kFunction:
-        return "@" + v->name();
       case Value::Kind::kInstruction: {
         auto it = names_.find(static_cast<const Instruction*>(v));
         return it == names_.end() ? "%?" : it->second;

@@ -112,8 +112,8 @@ struct Renamer {
   }
 };
 
-}  // namespace
-
+/// Runs mem2reg on one function. Allocas remain for aggregates and for
+/// locals whose address escapes (operand of anything but load/store-ptr).
 SsaStats promoteToSsa(Function& fn, Module& module) {
   SsaStats stats;
   if (!fn.isDefined()) return stats;
@@ -215,6 +215,8 @@ SsaStats promoteToSsa(Function& fn, Module& module) {
   return renamer.stats;
 }
 
+}  // namespace
+
 SsaStats promoteModuleToSsa(Module& module) {
   const support::ScopedTimer timer("phase.ssa");
   SsaStats total;
@@ -230,6 +232,7 @@ SsaStats promoteModuleToSsa(Module& module) {
   SAFEFLOW_COUNT_N("ssa.phis_inserted", total.phis_inserted);
   SAFEFLOW_COUNT_N("ssa.loads_removed", total.loads_removed);
   SAFEFLOW_COUNT_N("ssa.stores_removed", total.stores_removed);
+  module.numberValues();
   return total;
 }
 

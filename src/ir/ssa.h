@@ -14,11 +14,9 @@ struct SsaStats {
   std::size_t stores_removed = 0;
 };
 
-/// Runs mem2reg on one function. Allocas remain for aggregates and for
-/// locals whose address escapes (operand of anything but load/store-ptr).
-SsaStats promoteToSsa(Function& fn, Module& module);
-
-/// Convenience: promotes every defined function in the module.
+/// Runs mem2reg on every defined function (allocas remain for aggregates
+/// and for locals whose address escapes), then numbers the module's
+/// values (Module::numberValues) for the analyses.
 SsaStats promoteModuleToSsa(Module& module);
 
 /// Verifies SSA well-formedness: every instruction operand is defined in a

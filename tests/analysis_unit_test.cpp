@@ -113,6 +113,7 @@ void init(void)
   ir::Module m(fe.types());
   ir::Lowering lowering(fe.unit(), m, fe.diagnostics());
   lowering.run();
+  ir::promoteModuleToSsa(m);
   const std::size_t before = fe.diagnostics().errorCount();
   analysis::ShmRegionTable::build(m, fe.diagnostics());
   EXPECT_GT(fe.diagnostics().errorCount(), before);

@@ -105,9 +105,8 @@ std::string dump(const Pipeline& p, const analysis::AliasAnalysis& solver) {
   };
   for (const auto& g : p.module->globals()) line("@" + g->name(), g.get());
   for (const auto& fn : p.module->functions()) {
-    const auto& values = index.of(*fn).values();
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      line(fn->name() + "#" + std::to_string(i), values[i]);
+    for (int i = 0; const ir::Value* v = index.resolve(fn->name(), i); ++i) {
+      line(fn->name() + "#" + std::to_string(i), v);
     }
   }
   return out.str();
