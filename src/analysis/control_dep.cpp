@@ -4,9 +4,13 @@ namespace safeflow::analysis {
 
 ControlDependence ControlDependence::compute(const ir::Function& fn) {
   ControlDependence cd;
+  cd.deps_.resize(fn.blocks().size());
   if (!fn.isDefined()) return cd;
   const ir::DominatorTree pdt = ir::DominatorTree::computePost(fn);
 
+  // Branch blocks are visited in block order, so each controller list
+  // comes out sorted; the back() check drops the repeat when both
+  // successors' walks reach the same block.
   for (const auto& a : fn.blocks()) {
     const ir::Instruction* term = a->terminator();
     if (term == nullptr || term->opcode() != ir::Opcode::kCondBr) continue;
@@ -15,22 +19,15 @@ ControlDependence ControlDependence::compute(const ir::Function& fn) {
       // Skip the edge when A's immediate post-dominator already covers it
       // (i.e. S post-dominates A): no control dependence through it.
       if (pdt.dominates(s, a.get())) continue;
-      const ir::BasicBlock* runner = s;
-      std::set<const ir::BasicBlock*> seen;
-      while (runner != nullptr && runner != stop &&
-             seen.insert(runner).second) {
-        cd.deps_[runner].insert(a.get());
-        runner = pdt.idom(runner);
+      // The idom chain climbs the tree strictly, so the walk ends.
+      for (const ir::BasicBlock* runner = s;
+           runner != nullptr && runner != stop; runner = pdt.idom(runner)) {
+        auto& deps = cd.deps_[runner->index()];
+        if (deps.empty() || deps.back() != a.get()) deps.push_back(a.get());
       }
     }
   }
   return cd;
-}
-
-const std::set<const ir::BasicBlock*>& ControlDependence::controllers(
-    const ir::BasicBlock* bb) const {
-  auto it = deps_.find(bb);
-  return it == deps_.end() ? empty_ : it->second;
 }
 
 }  // namespace safeflow::analysis

@@ -4,8 +4,8 @@
 // that data — the source of the paper's false-positive class.
 #pragma once
 
-#include <map>
-#include <set>
+#include <span>
+#include <vector>
 
 #include "ir/dominators.h"
 #include "ir/ir.h"
@@ -16,13 +16,15 @@ class ControlDependence {
  public:
   static ControlDependence compute(const ir::Function& fn);
 
-  /// Blocks whose branch condition this block is control dependent on.
-  [[nodiscard]] const std::set<const ir::BasicBlock*>& controllers(
-      const ir::BasicBlock* bb) const;
+  /// Blocks whose branch condition this block is control dependent on,
+  /// in block order.
+  [[nodiscard]] std::span<const ir::BasicBlock* const> controllers(
+      const ir::BasicBlock* bb) const {
+    return deps_[bb->index()];
+  }
 
  private:
-  std::map<const ir::BasicBlock*, std::set<const ir::BasicBlock*>> deps_;
-  std::set<const ir::BasicBlock*> empty_;
+  std::vector<std::vector<const ir::BasicBlock*>> deps_;  // by block index
 };
 
 }  // namespace safeflow::analysis

@@ -259,7 +259,19 @@ RangeAnalysis::RangeAnalysis(const ir::Module& module,
       callgraph_(callgraph),
       options_(options),
       budget_(budget),
-      memo_(memo) {}
+      memo_(memo),
+      return_range_(module.functions().size()),
+      return_updates_(module.functions().size(), 0),
+      domtrees_(module.functions().size()),
+      refine_chain_(module.functions().size()),
+      top_arg_fns_(module.functions().size(), false) {}
+
+void RangeAnalysis::ensureDomTree(const ir::Function& fn) {
+  auto& dt = domtrees_[fn.index()];
+  if (dt) return;
+  dt = ir::DominatorTree::compute(fn);
+  refine_chain_[fn.index()].resize(fn.blocks().size());
+}
 
 void RangeAnalysis::run() {
   if (ran_ || !options_.enabled) return;
@@ -274,17 +286,18 @@ void RangeAnalysis::run() {
   for (const auto& fn : module_.functions()) {
     if (!fn->isDefined() || fn->isIntrinsic()) continue;
     if (callgraph_.callers(fn.get()).empty() || fn->name() == "main") {
-      top_arg_fns_.insert(fn.get());
+      top_arg_fns_[fn->index()] = true;
     }
   }
   for (const auto& g : module_.globals()) {
     if (g->name().rfind("@fnaddr.", 0) != 0) continue;
     if (const ir::Function* f =
             module_.findFunction(g->name().substr(sizeof("@fnaddr.") - 1))) {
-      top_arg_fns_.insert(f);
+      top_arg_fns_[f->index()] = true;
     }
   }
-  for (const ir::Function* fn : top_arg_fns_) {
+  for (const auto& fn : module_.functions()) {
+    if (!top_arg_fns_[fn->index()]) continue;
     for (const auto& arg : fn->args()) {
       if (!arg->type()->isInteger()) continue;
       joinInto(arg.get(), typeInterval(arg->type()), arg->type());
@@ -324,9 +337,7 @@ void RangeAnalysis::run() {
 
 bool RangeAnalysis::analyzeFunction(const ir::Function& fn) {
   SAFEFLOW_COUNT("ranges.function_analyses");
-  if (!domtrees_.contains(&fn)) {
-    domtrees_.emplace(&fn, ir::DominatorTree::compute(fn));
-  }
+  ensureDomTree(fn);
   bool changed_any = false;
   bool changed = true;
   while (changed) {
@@ -439,13 +450,10 @@ void RangeAnalysis::digestInput(const ir::Function& fn,
     hashUint(h, update_counts_[id]);
   }
   hashToken(h, "ret");
-  const auto rit = return_range_.find(&fn);
-  hashUint(h, rit == return_range_.end() ? 0 : 1);
-  if (rit != return_range_.end()) hashInterval(h, rit->second);
-  {
-    const auto cit = return_updates_.find(&fn);
-    hashUint(h, cit == return_updates_.end() ? 0 : cit->second);
-  }
+  const auto& ret = return_range_[fn.index()];
+  hashUint(h, ret ? 1 : 0);
+  if (ret) hashInterval(h, *ret);
+  hashUint(h, return_updates_[fn.index()]);
   hashToken(h, "calls");
   for (const auto& bb : fn.blocks()) {
     for (const auto& inst : bb->instructions()) {
@@ -453,7 +461,7 @@ void RangeAnalysis::digestInput(const ir::Function& fn,
       for (const ir::Function* f : callgraph_.targets(*inst)) {
         if (!rangeRelevantTarget(f)) continue;
         hashToken(h, f->name());
-        const bool top_args = top_arg_fns_.contains(f);
+        const bool top_args = top_arg_fns_[f->index()];
         hashUint(h, top_args ? 1 : 0);
         if (!top_args) {
           for (std::size_t p = 0; p < f->args().size(); ++p) {
@@ -466,9 +474,9 @@ void RangeAnalysis::digestInput(const ir::Function& fn,
             hashUint(h, update_counts_[formal->id()]);
           }
         }
-        const auto frit = return_range_.find(f);
-        hashUint(h, frit == return_range_.end() ? 0 : 1);
-        if (frit != return_range_.end()) hashInterval(h, frit->second);
+        const auto& f_ret = return_range_[f->index()];
+        hashUint(h, f_ret ? 1 : 0);
+        if (f_ret) hashInterval(h, *f_ret);
       }
     }
   }
@@ -495,13 +503,10 @@ std::string RangeAnalysis::captureRecord(const ir::Function& fn,
     w.u64(update_counts_[id]);
   }
 
-  const auto rit = return_range_.find(&fn);
-  w.u64(rit == return_range_.end() ? 0 : 1);
-  if (rit != return_range_.end()) writeInterval(w, rit->second);
-  {
-    const auto cit = return_updates_.find(&fn);
-    w.u64(cit == return_updates_.end() ? 0 : cit->second);
-  }
+  const auto& ret = return_range_[fn.index()];
+  w.u64(ret ? 1 : 0);
+  if (ret) writeInterval(w, *ret);
+  w.u64(return_updates_[fn.index()]);
 
   std::set<std::pair<std::string, std::size_t>> seen;
   std::vector<std::tuple<std::string, std::size_t, const ir::Value*>> slots;
@@ -509,7 +514,7 @@ std::string RangeAnalysis::captureRecord(const ir::Function& fn,
     for (const auto& inst : bb->instructions()) {
       if (inst->opcode() != ir::Opcode::kCall) continue;
       for (const ir::Function* f : callgraph_.targets(*inst)) {
-        if (!rangeRelevantTarget(f) || top_arg_fns_.contains(f)) continue;
+        if (!rangeRelevantTarget(f) || top_arg_fns_[f->index()]) continue;
         for (std::size_t p = 0; p < f->args().size(); ++p) {
           const ir::Argument* formal = f->args()[p].get();
           if (!formal->type()->isInteger() ||
@@ -577,15 +582,11 @@ bool RangeAnalysis::applyRecord(const ir::Function& fn,
     range_[id] = rec.first;
     update_counts_[id] = rec.second;
   }
-  if (have_ret) return_range_[&fn] = ret_range;
-  if (ret_count != 0 || return_updates_.count(&fn) != 0) {
-    return_updates_[&fn] = ret_count;
-  }
+  if (have_ret) return_range_[fn.index()] = ret_range;
+  return_updates_[fn.index()] = ret_count;
   // Later consumers (rangeAt from the restriction and bounds checks) need
   // the dominator tree even when every local solve was replayed.
-  if (!domtrees_.contains(&fn)) {
-    domtrees_.emplace(&fn, ir::DominatorTree::compute(fn));
-  }
+  ensureDomTree(fn);
   module_changed_ |= module_delta;
   *changed_any = rc;
   return true;
@@ -604,9 +605,7 @@ bool RangeAnalysis::memoizedAnalyze(const ir::Function& fn) {
     const bool peek_changed = peek.u64() != 0;
     const bool peek_delta = peek.u64() != 0;
     if (peek.ok() && identity) {
-      if (!domtrees_.contains(&fn)) {
-        domtrees_.emplace(&fn, ir::DominatorTree::compute(fn));
-      }
+      ensureDomTree(fn);
       module_changed_ |= peek_delta;
       return peek_changed;
     }
@@ -642,8 +641,10 @@ std::uint64_t RangeAnalysis::digestState(const ModuleIndex& index) const {
   for (const auto& [id, range] : range_) {
     items["v:" + stable(id)] = intervalStr(range);
   }
-  for (const auto& [fn, range] : return_range_) {
-    items["r:" + fn->name()] = intervalStr(range);
+  for (const auto& fn : module_.functions()) {
+    if (const auto& range = return_range_[fn->index()]) {
+      items["r:" + fn->name()] = intervalStr(*range);
+    }
   }
   for (const auto& [condbr, succ] : decided_) {
     items["d:" + stable(condbr)] = std::to_string(succ);
@@ -751,7 +752,7 @@ std::optional<Interval> RangeAnalysis::transfer(const ir::Instruction& inst) {
         }
         // Join actual argument ranges into the callee's formals; a grown
         // formal forces another interprocedural round.
-        if (!top_arg_fns_.contains(f)) {
+        if (!top_arg_fns_[f->index()]) {
           for (std::size_t j = 0; j < f->args().size(); ++j) {
             const ir::Argument* formal = f->args()[j].get();
             if (!formal->type()->isInteger()) continue;
@@ -764,9 +765,9 @@ std::optional<Interval> RangeAnalysis::transfer(const ir::Instruction& inst) {
             module_changed_ |= joinInto(formal, actual, formal->type());
           }
         }
-        const auto it = return_range_.find(f);
-        if (it == return_range_.end()) continue;  // not yet summarized
-        acc = acc ? acc->join(it->second) : it->second;
+        const auto& f_ret = return_range_[f->index()];
+        if (!f_ret) continue;  // not yet summarized
+        acc = acc ? acc->join(*f_ret) : *f_ret;
       }
       if (ty == nullptr || !ty->isInteger()) return std::nullopt;
       if (!all_known) return typeInterval(ty);
@@ -798,23 +799,23 @@ bool RangeAnalysis::joinInto(const ir::Value* key, Interval value,
 }
 
 bool RangeAnalysis::joinReturn(const ir::Function* fn, Interval value) {
-  const auto it = return_range_.find(fn);
-  if (it == return_range_.end()) {
-    return_range_.emplace(fn, value);
+  auto& ret = return_range_[fn->index()];
+  if (!ret) {
+    ret = value;
     return true;
   }
-  Interval merged = it->second.join(value);
-  if (merged == it->second) return false;
-  if (++return_updates_[fn] > options_.widen_after) {
+  Interval merged = ret->join(value);
+  if (merged == *ret) return false;
+  if (++return_updates_[fn->index()] > options_.widen_after) {
     const Interval ti =
         typeInterval(fn->functionType() != nullptr
                          ? fn->functionType()->returnType()
                          : nullptr);
-    if (merged.lo < it->second.lo) merged.lo = ti.lo;
-    if (merged.hi > it->second.hi) merged.hi = ti.hi;
+    if (merged.lo < ret->lo) merged.lo = ti.lo;
+    if (merged.hi > ret->hi) merged.hi = ti.hi;
     SAFEFLOW_COUNT("ranges.widenings");
   }
-  it->second = merged;
+  *ret = merged;
   return true;
 }
 
@@ -937,12 +938,11 @@ std::optional<Interval> RangeAnalysis::contextRange(
   return refinedAt(*r, v, bb);
 }
 
-const std::vector<std::pair<const ir::BasicBlock*, const ir::BasicBlock*>>&
-RangeAnalysis::refineChain(const ir::BasicBlock* bb,
-                           const ir::DominatorTree& dt) const {
-  const auto hit = refine_chain_.find(bb);
-  if (hit != refine_chain_.end()) return hit->second;
-  auto& chain = refine_chain_[bb];
+const RangeAnalysis::RefineChain& RangeAnalysis::refineChain(
+    const ir::BasicBlock* bb, const ir::DominatorTree& dt) const {
+  auto& cached = refine_chain_[bb->parent()->index()][bb->index()];
+  if (cached) return *cached;
+  auto& chain = cached.emplace();
   // Walk the idom chain once; the branch taken from idom(b) into b
   // constrains a value whenever every path into b uses that edge (all
   // other predecessors are b's own back edges). The CFG is immutable
@@ -978,9 +978,9 @@ RangeAnalysis::refineChain(const ir::BasicBlock* bb,
 
 Interval RangeAnalysis::refinedAt(Interval r, const ir::Value* v,
                                   const ir::BasicBlock* bb) const {
-  const auto dt_it = domtrees_.find(bb->parent());
-  if (dt_it == domtrees_.end()) return r;
-  const ir::DominatorTree& dt = dt_it->second;
+  const auto& tree = domtrees_[bb->parent()->index()];
+  if (!tree) return r;
+  const ir::DominatorTree& dt = *tree;
   const ir::BasicBlock* def =
       v->isInstruction() ? static_cast<const ir::Instruction*>(v)->parent()
                          : nullptr;
@@ -1059,7 +1059,7 @@ bool RangeAnalysis::edgeInfeasible(const ir::BasicBlock* pred,
 
 void RangeAnalysis::degradeToTop() {
   range_.clear();
-  return_range_.clear();
+  for (auto& ret : return_range_) ret.reset();
   decided_.clear();
   SAFEFLOW_COUNT("ranges.degraded_runs");
 }

@@ -23,7 +23,6 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -158,8 +157,12 @@ class RangeAnalysis {
                                    const ir::BasicBlock* bb) const;
   /// The (pred, succ) dominating edges whose CondBr can refine values in
   /// `bb`, cached per block (the CFG never changes during run()).
-  const std::vector<std::pair<const ir::BasicBlock*, const ir::BasicBlock*>>&
-  refineChain(const ir::BasicBlock* bb, const ir::DominatorTree& dt) const;
+  using RefineChain =
+      std::vector<std::pair<const ir::BasicBlock*, const ir::BasicBlock*>>;
+  const RefineChain& refineChain(const ir::BasicBlock* bb,
+                                 const ir::DominatorTree& dt) const;
+  /// Computes fn's dominator tree on first use.
+  void ensureDomTree(const ir::Function& fn);
   /// valueRange + refinedAt: an operand's range in `bb`'s context.
   [[nodiscard]] std::optional<Interval> contextRange(
       const ir::Value* v, const ir::BasicBlock* bb) const;
@@ -184,16 +187,16 @@ class RangeAnalysis {
   PhaseMemoHooks memo_;
 
   std::map<std::uint32_t, Interval> range_;  // by value id
-  std::map<const ir::Function*, Interval> return_range_;
   std::vector<unsigned> update_counts_;  // growths by value id
-  std::map<const ir::Function*, unsigned> return_updates_;
-  std::map<const ir::Function*, ir::DominatorTree> domtrees_;
-  mutable std::map<const ir::BasicBlock*,
-                   std::vector<std::pair<const ir::BasicBlock*,
-                                         const ir::BasicBlock*>>>
-      refine_chain_;
+  // Per-function state, by ir::Function::index(). A return range is
+  // empty until the first join; the memo digests hash that presence.
+  std::vector<std::optional<Interval>> return_range_;
+  std::vector<unsigned> return_updates_;
+  std::vector<std::optional<ir::DominatorTree>> domtrees_;
+  /// By function index, then block index; sized with the dominator tree.
+  mutable std::vector<std::vector<std::optional<RefineChain>>> refine_chain_;
   std::map<std::uint32_t, unsigned> decided_;  // by CondBr id
-  std::set<const ir::Function*> top_arg_fns_;  // roots & address-taken
+  std::vector<bool> top_arg_fns_;  // roots & address-taken
   bool ran_ = false;
   bool degraded_ = false;
   bool module_changed_ = false;  // set by call-site argument joins

@@ -1,7 +1,6 @@
 #include "analysis/restrictions.h"
 
 #include <algorithm>
-#include <set>
 
 #include "analysis/affine.h"
 #include "analysis/ranges.h"
@@ -26,15 +25,17 @@ bool reachableAvoiding(const ir::BasicBlock* from,
                        const ir::BasicBlock* target,
                        const ir::BasicBlock* avoid) {
   if (from == target) return true;
-  std::set<const ir::BasicBlock*> seen{avoid};
+  std::vector<bool> seen(from->parent()->blocks().size(), false);
+  seen[avoid->index()] = true;
   std::vector<const ir::BasicBlock*> stack{from};
   while (!stack.empty()) {
     const ir::BasicBlock* bb = stack.back();
     stack.pop_back();
     if (bb == target) return true;
-    if (!seen.insert(bb).second) continue;
+    if (seen[bb->index()]) continue;
+    seen[bb->index()] = true;
     for (const ir::BasicBlock* succ : bb->successors()) {
-      if (!seen.contains(succ)) stack.push_back(succ);
+      if (!seen[succ->index()]) stack.push_back(succ);
     }
   }
   return false;

@@ -51,7 +51,8 @@ ShmPointerAnalysis::ShmPointerAnalysis(const ir::Module& module,
       regions_(regions),
       callgraph_(callgraph),
       budget_(budget),
-      memo_(memo) {}
+      memo_(memo),
+      returns_(module.functions().size()) {}
 
 ShmPtrInfo ShmPointerAnalysis::get(const ir::Value* v) const {
   auto it = facts_.find(v->id());
@@ -91,15 +92,17 @@ void ShmPointerAnalysis::run() {
       support::counterHandle("shm_propagation.worklist_pushes");
 
   std::deque<const ir::Function*> worklist;
-  std::set<const ir::Function*> queued;
+  std::vector<bool> queued(module_.functions().size(), false);  // by index
+  const auto enqueue = [&](const ir::Function* fn) {
+    if (queued[fn->index()]) return;
+    queued[fn->index()] = true;
+    worklist.push_back(fn);
+    if (pushes != nullptr) pushes->add();
+  };
   // Seed bottom-up: callee-first order converges fastest.
   for (const auto& scc : callgraph_.sccsBottomUp()) {
     for (const ir::Function* fn : scc) {
-      if (fn->isDefined() && !regions_.isInitFunction(fn)) {
-        worklist.push_back(fn);
-        queued.insert(fn);
-        if (pushes != nullptr) pushes->add();
-      }
+      if (fn->isDefined() && !regions_.isInitFunction(fn)) enqueue(fn);
     }
   }
 
@@ -107,7 +110,7 @@ void ShmPointerAnalysis::run() {
     if (!support::budgetStep(budget_)) break;
     const ir::Function* fn = worklist.front();
     worklist.pop_front();
-    queued.erase(fn);
+    queued[fn->index()] = false;
     ++iterations_;
     bool ret_changed;
     {
@@ -118,10 +121,8 @@ void ShmPointerAnalysis::run() {
     }
     if (ret_changed) {
       for (const ir::Function* caller : callgraph_.callers(fn)) {
-        if (caller->isDefined() && !regions_.isInitFunction(caller) &&
-            queued.insert(caller).second) {
-          worklist.push_back(caller);
-          if (pushes != nullptr) pushes->add();
+        if (caller->isDefined() && !regions_.isInitFunction(caller)) {
+          enqueue(caller);
         }
       }
     }
@@ -138,10 +139,7 @@ void ShmPointerAnalysis::run() {
           break;
         }
       }
-      if (has_arg_fact && queued.insert(callee).second) {
-        worklist.push_back(callee);
-        if (pushes != nullptr) pushes->add();
-      }
+      if (has_arg_fact) enqueue(callee);
     }
   }
   if (budget_ != nullptr && budget_->exhausted()) {
@@ -150,7 +148,9 @@ void ShmPointerAnalysis::run() {
     // checks then flag (rather than certify) every access the partial
     // analysis could not pin down.
     for (auto& [value, info] : facts_) widen(info);
-    for (auto& [fn, info] : returns_) widen(info);
+    for (auto& info : returns_) {
+      if (info) widen(*info);
+    }
   }
   SAFEFLOW_COUNT_N("shm_propagation.iterations", iterations_);
   SAFEFLOW_COUNT_N("shm_propagation.values_tracked", facts_.size());
@@ -291,9 +291,9 @@ bool ShmPointerAnalysis::analyzeFunction(const ir::Function& fn) {
                   update(target->args()[param].get(), arg);
                 }
               }
-              auto rit = returns_.find(target);
-              if (rit != returns_.end() && !rit->second.empty()) {
-                any_change |= update(inst.get(), rit->second);
+              const auto& target_ret = returns_[target->index()];
+              if (target_ret && !target_ret->empty()) {
+                any_change |= update(inst.get(), *target_ret);
               }
             }
             break;
@@ -302,8 +302,9 @@ bool ShmPointerAnalysis::analyzeFunction(const ir::Function& fn) {
             if (inst->numOperands() == 1) {
               const ShmPtrInfo v = get(inst->operand(0));
               if (!v.empty()) {
-                ShmPtrInfo& ret = returns_[&fn];
-                if (ret.merge(v)) {
+                auto& ret = returns_[fn.index()];
+                if (!ret) ret.emplace();
+                if (ret->merge(v)) {
                   ret_changed = true;
                   any_change = true;
                 }
@@ -382,9 +383,9 @@ void ShmPointerAnalysis::digestInput(const ir::Function& fn,
     hashUint(h, update_counts_[id]);
   }
   hashToken(h, "ret");
-  const auto rit = returns_.find(&fn);
-  hashUint(h, rit == returns_.end() ? 0 : 1);
-  if (rit != returns_.end()) hashShmInfo(h, rit->second);
+  const auto& ret = returns_[fn.index()];
+  hashUint(h, ret ? 1 : 0);
+  if (ret) hashShmInfo(h, *ret);
   hashToken(h, "calls");
   for (const auto& bb : fn.blocks()) {
     for (const auto& inst : bb->instructions()) {
@@ -400,9 +401,9 @@ void ShmPointerAnalysis::digestInput(const ir::Function& fn,
           hashShmInfo(h, fit->second);
           hashUint(h, update_counts_[formal]);
         }
-        const auto trit = returns_.find(target);
-        hashUint(h, trit == returns_.end() ? 0 : 1);
-        if (trit != returns_.end()) hashShmInfo(h, trit->second);
+        const auto& target_ret = returns_[target->index()];
+        hashUint(h, target_ret ? 1 : 0);
+        if (target_ret) hashShmInfo(h, *target_ret);
       }
     }
   }
@@ -428,9 +429,9 @@ std::string ShmPointerAnalysis::captureRecord(const ir::Function& fn,
     w.u64(update_counts_[id]);
   }
 
-  const auto rit = returns_.find(&fn);
-  w.u64(rit == returns_.end() ? 0 : 1);
-  if (rit != returns_.end()) writeShmInfo(w, rit->second);
+  const auto& ret = returns_[fn.index()];
+  w.u64(ret ? 1 : 0);
+  if (ret) writeShmInfo(w, *ret);
 
   // Callee formals this function's call sites may have written.
   std::set<std::pair<std::string, std::size_t>> seen;
@@ -503,7 +504,7 @@ bool ShmPointerAnalysis::applyRecord(const ir::Function& fn,
     facts_[id] = rec.first;
     update_counts_[id] = rec.second;
   }
-  if (have_ret) returns_[&fn] = ret_info;
+  if (have_ret) returns_[fn.index()] = ret_info;
   *ret_changed = rc;
   return true;
 }
@@ -544,8 +545,10 @@ std::uint64_t ShmPointerAnalysis::digestState(
         std::to_string(pos);
     items["v:" + name] = shmInfoStr(info);
   }
-  for (const auto& [fn, info] : returns_) {
-    items["r:" + fn->name()] = shmInfoStr(info);
+  for (const auto& fn : module_.functions()) {
+    if (const auto& info = returns_[fn->index()]) {
+      items["r:" + fn->name()] = shmInfoStr(*info);
+    }
   }
   support::Fnv1a h;
   for (const auto& [k, v] : items) {

@@ -87,7 +87,9 @@ class ShmPointerAnalysis {
 
   std::map<std::uint32_t, ShmPtrInfo> facts_;  // by value id
   std::vector<unsigned> update_counts_;          // by value id
-  std::map<const ir::Function*, ShmPtrInfo> returns_;
+  /// By ir::Function::index(); empty until the function's first shm
+  /// return, and the memo digests hash that presence.
+  std::vector<std::optional<ShmPtrInfo>> returns_;
   std::size_t iterations_ = 0;
 };
 

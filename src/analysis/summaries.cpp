@@ -151,13 +151,9 @@ void hashFunction(const ir::Function& fn, support::Fnv1a& h) {
   hashType(fn.functionType(), h);
   for (const auto& arg : fn.args()) hashType(arg->type(), h);
 
-  std::map<const ir::BasicBlock*, int> block_ids;
-  int next_block = 0;
-  for (const auto& bb : fn.blocks()) block_ids[bb.get()] = next_block++;
-
   for (const auto& bb : fn.blocks()) {
     hashBytes(h, "b");
-    hashNum(h, block_ids[bb.get()]);
+    hashNum(h, bb->index());
     for (const auto& inst : bb->instructions()) {
       hashNum(h, static_cast<int>(inst->opcode()));
       hashType(inst->type(), h);
@@ -187,7 +183,7 @@ void hashFunction(const ir::Function& fn, support::Fnv1a& h) {
       }
       for (const ir::Value* op : inst->operands()) hashOperand(op, fn, h);
       for (const ir::BasicBlock* ref : inst->block_refs) {
-        hashNum(h, block_ids[ref]);
+        hashNum(h, ref->index());
       }
     }
   }
@@ -196,8 +192,8 @@ void hashFunction(const ir::Function& fn, support::Fnv1a& h) {
 FunctionKeyMap computeFunctionKeys(const ir::Module& module,
                                    const ir::CallGraph& callgraph,
                                    std::string_view config_fingerprint) {
-  (void)module;
-  FunctionKeyMap keys;
+  FunctionKeyMap keys(module.functions().size());
+  std::vector<bool> in_scc(module.functions().size(), false);  // by index
   for (const auto& scc : callgraph.sccsBottomUp()) {
     std::vector<const ir::Function*> members;
     for (const ir::Function* fn : scc) {
@@ -208,7 +204,7 @@ FunctionKeyMap computeFunctionKeys(const ir::Module& module,
               [](const ir::Function* a, const ir::Function* b) {
                 return a->name() < b->name();
               });
-    const std::set<const ir::Function*> in_scc(scc.begin(), scc.end());
+    for (const ir::Function* fn : scc) in_scc[fn->index()] = true;
 
     support::Fnv1a component;
     hashBytes(component, config_fingerprint);
@@ -219,13 +215,13 @@ FunctionKeyMap computeFunctionKeys(const ir::Module& module,
       hashBytes(component, fn->name());
       hashFunction(*fn, component);
       for (const ir::Function* callee : callgraph.callees(fn)) {
-        if (in_scc.count(callee) != 0) continue;
-        const auto it = keys.find(callee);
-        callee_keys.insert(it != keys.end() ? it->second
-                                            : "external:" + callee->name());
+        if (in_scc[callee->index()]) continue;
+        const std::string& key = keys[callee->index()];
+        callee_keys.insert(!key.empty() ? key : "external:" + callee->name());
       }
     }
     for (const std::string& k : callee_keys) hashBytes(component, k);
+    for (const ir::Function* fn : scc) in_scc[fn->index()] = false;
 
     // Members of one SCC share the component hash (they are solved as a
     // unit) but need distinct store keys.
@@ -235,7 +231,7 @@ FunctionKeyMap computeFunctionKeys(const ir::Module& module,
       kh.update(component_hex);
       kh.update("/");
       kh.update(fn->name());
-      keys[fn] = kh.hex();
+      keys[fn->index()] = kh.hex();
     }
   }
   return keys;

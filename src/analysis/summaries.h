@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <ranges>
 #include <string>
 #include <string_view>
@@ -124,8 +123,10 @@ void hashFunction(const ir::Function& fn, support::Fnv1a& h);
 /// Merkle key per defined function: 16-hex FNV over the configuration
 /// fingerprint, the SCC members' body hashes, and the keys of all
 /// external callees. Members of one SCC share a component hash (they are
-/// solved together) but get distinct final keys.
-using FunctionKeyMap = std::map<const ir::Function*, std::string>;
+/// solved together) but get distinct final keys. Indexed by
+/// ir::Function::index(); empty for functions without a key (undefined
+/// functions and intrinsics).
+using FunctionKeyMap = std::vector<std::string>;
 [[nodiscard]] FunctionKeyMap computeFunctionKeys(
     const ir::Module& module, const ir::CallGraph& callgraph,
     std::string_view config_fingerprint);

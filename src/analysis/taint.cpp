@@ -60,7 +60,12 @@ TaintAnalysis::TaintAnalysis(const ir::Module& module,
       options_(options),
       budget_(budget),
       ranges_(ranges),
-      memo_(memo) {}
+      memo_(memo),
+      memo_statics_(module.functions().size()),
+      local_assumptions_(module.functions().size()),
+      effective_(module.functions().size()),
+      return_taint_(module.functions().size()),
+      control_dep_(module.functions().size()) {}
 
 // ---------------------------------------------------------------------------
 // Assumptions
@@ -69,7 +74,7 @@ TaintAnalysis::TaintAnalysis(const ir::Module& module,
 void TaintAnalysis::computeLocalAssumptions() {
   for (const auto& fn : module_.functions()) {
     if (!fn->isDefined()) continue;
-    AssumptionSet& local = local_assumptions_[fn.get()];
+    AssumptionSet& local = local_assumptions_[fn->index()];
     for (const auto& bb : fn->blocks()) {
       for (const auto& inst : bb->instructions()) {
         if (inst->opcode() != ir::Opcode::kCall ||
@@ -109,12 +114,13 @@ void TaintAnalysis::computeLocalAssumptions() {
 void TaintAnalysis::computeEffectiveAssumptions() {
   // Roots start at their local set; everything else starts at "top" (all
   // callers might monitor) and is narrowed by intersection.
+  std::vector<bool> is_top(module_.functions().size(), false);  // by index
   for (const auto& fn : module_.functions()) {
     if (!fn->isDefined()) continue;
     const bool is_root =
         callgraph_.callers(fn.get()).empty() || fn->name() == "main";
-    effective_[fn.get()] = local_assumptions_[fn.get()];
-    effective_is_top_[fn.get()] = !is_root;
+    effective_[fn->index()] = local_assumptions_[fn->index()];
+    is_top[fn->index()] = !is_root;
   }
 
   bool changed = true;
@@ -124,7 +130,7 @@ void TaintAnalysis::computeEffectiveAssumptions() {
     changed = false;
     for (const auto& fn : module_.functions()) {
       if (!fn->isDefined()) continue;
-      const auto& callers = callgraph_.callers(fn.get());
+      const auto callers = callgraph_.callers(fn.get());
       if (callers.empty() || fn->name() == "main") continue;
 
       bool inherited_is_top = true;
@@ -136,9 +142,8 @@ void TaintAnalysis::computeEffectiveAssumptions() {
           inherited.clear();
           break;
         }
-        auto top_it = effective_is_top_.find(caller);
-        if (top_it != effective_is_top_.end() && top_it->second) continue;
-        const AssumptionSet& cs = effective_[caller];
+        if (is_top[caller->index()]) continue;
+        const AssumptionSet& cs = effective_[caller->index()];
         if (inherited_is_top) {
           inherited = cs;
           inherited_is_top = false;
@@ -151,32 +156,28 @@ void TaintAnalysis::computeEffectiveAssumptions() {
         }
       }
 
-      AssumptionSet next = local_assumptions_[fn.get()];
+      AssumptionSet next = local_assumptions_[fn->index()];
       if (!inherited_is_top) {
         next.insert(inherited.begin(), inherited.end());
       }
       const bool next_top = inherited_is_top;
-      if (next != effective_[fn.get()] ||
-          next_top != effective_is_top_[fn.get()]) {
-        effective_[fn.get()] = std::move(next);
-        effective_is_top_[fn.get()] = next_top;
+      if (next != effective_[fn->index()] ||
+          next_top != is_top[fn->index()]) {
+        effective_[fn->index()] = std::move(next);
+        is_top[fn->index()] = next_top;
         changed = true;
       }
     }
   }
   // Anything still "top" (e.g. unreachable cycles) falls back to local.
-  for (auto& [fn, top] : effective_is_top_) {
-    if (top) {
-      effective_[fn] = local_assumptions_[fn];
-      top = false;
-    }
+  for (std::size_t fn = 0; fn < is_top.size(); ++fn) {
+    if (is_top[fn]) effective_[fn] = local_assumptions_[fn];
   }
 }
 
 const AssumptionSet& TaintAnalysis::effectiveAssumptions(
     const ir::Function* fn) const {
-  auto it = effective_.find(fn);
-  return it == effective_.end() ? empty_assumptions_ : it->second;
+  return effective_[fn->index()];
 }
 
 bool TaintAnalysis::isCovered(const ShmPtrInfo& ptr,
@@ -320,9 +321,9 @@ TaintPair TaintAnalysis::loadTaint(const ir::Instruction& load,
 
 Taint TaintAnalysis::blockControlTaint(const ir::BasicBlock* bb) const {
   Taint out;
-  auto fn_it = control_dep_.find(bb->parent());
-  if (fn_it == control_dep_.end()) return out;
-  for (const ir::BasicBlock* branch : fn_it->second.controllers(bb)) {
+  const auto& cd = control_dep_[bb->parent()->index()];
+  if (!cd) return out;
+  for (const ir::BasicBlock* branch : cd->controllers(bb)) {
     const ir::Instruction* term = branch->terminator();
     if (term == nullptr || term->opcode() != ir::Opcode::kCondBr) continue;
     // A branch the range analysis decides always goes one way exerts no
@@ -350,9 +351,8 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
   SAFEFLOW_COUNT("taint.body_analyses");
   support::ScopedSpan span("taint.function");
   span.arg("fn", fn.name());
-  if (options_.track_control_deps && !control_dep_.contains(&fn)) {
-    control_dep_.emplace(&fn, ControlDependence::compute(fn));
-  }
+  auto& cd = control_dep_[fn.index()];
+  if (options_.track_control_deps && !cd) cd = ControlDependence::compute(fn);
 
   bool changed_any = false;
   // Seed each argument with its symbolic parameter taint; concrete taints
@@ -444,7 +444,9 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
               TaintPair rt = operandTaint(inst->operand(0));
               rt.control.merge(block_control);
               {
-                const bool grew = return_taint_[&fn].merge(rt);
+                auto& ret = return_taint_[fn.index()];
+                if (!ret) ret.emplace();
+                const bool grew = ret->merge(rt);
                 if (grew) SAFEFLOW_COUNT("taint.summaries_computed");
                 changed |= grew;
               }
@@ -554,12 +556,11 @@ TaintPair TaintAnalysis::evalCall(const ir::Instruction& call,
     if (options_.mode == TaintOptions::Mode::kCallStrings &&
         depth < options_.max_context_depth) {
       AssumptionSet ctx = caller_assumptions;
-      const AssumptionSet& local = local_assumptions_[target];
+      const AssumptionSet& local = local_assumptions_[target->index()];
       ctx.insert(local.begin(), local.end());
       summary = analyzeInContext(*target, std::move(ctx), depth + 1);
     } else {
-      auto it = return_taint_.find(target);
-      if (it != return_taint_.end()) summary = it->second;
+      if (const auto& rt = return_taint_[target->index()]) summary = *rt;
     }
     // Instantiate the summary for THIS call site: parameter symbols are
     // replaced by the actual argument taints (context sensitivity in the
@@ -580,7 +581,7 @@ TaintPair TaintAnalysis::evalCall(const ir::Instruction& call,
 TaintPair TaintAnalysis::analyzeInContext(const ir::Function& fn,
                                           AssumptionSet ctx,
                                           unsigned depth) {
-  const auto key = std::make_pair(&fn, ctx);
+  const auto key = std::make_pair(fn.index(), ctx);
   auto it = context_memo_.find(key);
   if (it != context_memo_.end()) {
     SAFEFLOW_COUNT("taint.context_cache_hits");
@@ -594,7 +595,9 @@ TaintPair TaintAnalysis::analyzeInContext(const ir::Function& fn,
   // summary.
   while (analyzeFunction(fn, ctx, depth)) {
   }
-  TaintPair after = return_taint_[&fn];
+  auto& ret = return_taint_[fn.index()];
+  if (!ret) ret.emplace();
+  TaintPair after = *ret;
   context_memo_[key] = after;
   return after;
 }
@@ -634,8 +637,7 @@ void TaintAnalysis::run(SafeFlowReport& report) {
                              fn->name() == "main";
         if (!is_root) continue;
         context_memo_.clear();
-        changed |=
-            analyzeFunction(*fn, local_assumptions_[fn.get()]);
+        changed |= analyzeFunction(*fn, local_assumptions_[fn->index()]);
       }
     }
   }
@@ -808,10 +810,10 @@ const std::string& TaintAnalysis::memoSetNames(const ObjSet& objs) const {
 // supposed to replace.
 const TaintAnalysis::MemoStatics& TaintAnalysis::memoStatics(
     const ir::Function& fn, const AssumptionSet& assumptions) const {
-  const auto cached = memo_statics_.find(&fn);
-  if (cached != memo_statics_.end()) return cached->second;
+  std::optional<MemoStatics>& cached = memo_statics_[fn.index()];
+  if (cached) return *cached;
 
-  MemoStatics st;
+  MemoStatics& st = cached.emplace();
   support::Fnv1a h;
   hashToken(h, "taint-static");
   hashToken(h, fn.name());
@@ -892,7 +894,7 @@ const TaintAnalysis::MemoStatics& TaintAnalysis::memoStatics(
   }
 
   st.digest = h.digest();
-  return memo_statics_.emplace(&fn, std::move(st)).first->second;
+  return st;
 }
 
 std::uint64_t TaintAnalysis::memoRefHash(std::uint32_t id) const {
@@ -960,9 +962,9 @@ void TaintAnalysis::digestInput(const ir::Function& fn,
     hashTaintPairDigest(h, it->second);
   }
   hashToken(h, "ret");
-  const auto rit = return_taint_.find(&fn);
-  hashUint(h, rit == return_taint_.end() ? 0 : 1);
-  if (rit != return_taint_.end()) hashTaintPairDigest(h, rit->second);
+  const auto& ret = return_taint_[fn.index()];
+  hashUint(h, ret ? 1 : 0);
+  if (ret) hashTaintPairDigest(h, *ret);
 
   hashToken(h, "objs");
   for (const auto& [name_hash, obj] : st.footprint_hashed) {
@@ -975,9 +977,9 @@ void TaintAnalysis::digestInput(const ir::Function& fn,
   hashToken(h, "calls");
   for (const auto& [target, name_hash] : st.call_targets) {
     hashUint(h, name_hash);
-    const auto trit = return_taint_.find(target);
-    hashUint(h, trit == return_taint_.end() ? 0 : 1);
-    if (trit != return_taint_.end()) hashTaintPairDigest(h, trit->second);
+    const auto& target_ret = return_taint_[target->index()];
+    hashUint(h, target_ret ? 1 : 0);
+    if (target_ret) hashTaintPairDigest(h, *target_ret);
     for (std::size_t p = 0; p < target->args().size(); ++p) {
       const auto ait = arg_concrete_.find(target->args()[p]->id());
       if (ait == arg_concrete_.end()) continue;
@@ -1016,13 +1018,11 @@ std::string TaintAnalysis::captureRecord(const ir::Function& fn,
     own.emplace_back(id - fn.firstLocalId(), intern(t));
   }
 
-  const auto rit = return_taint_.find(&fn);
-  const std::uint64_t ret_idx =
-      rit != return_taint_.end() ? intern(rit->second) : 0;
+  const auto& ret = return_taint_[fn.index()];
+  const std::uint64_t ret_idx = ret ? intern(*ret) : 0;
 
-  const auto sit = memo_statics_.find(&fn);
-  const auto footprint =
-      sit != memo_statics_.end() ? sit->second.footprint : memoFootprint(fn);
+  const auto& statics = memo_statics_[fn.index()];
+  const auto footprint = statics ? statics->footprint : memoFootprint(fn);
   std::vector<std::pair<std::string, std::uint64_t>> obj_slots;
   for (const auto& [name, obj] : footprint) {
     const auto it = object_taint_.find(obj);
@@ -1061,8 +1061,8 @@ std::string TaintAnalysis::captureRecord(const ir::Function& fn,
     w.u64(id);
     w.u64(idx);
   }
-  w.u64(rit == return_taint_.end() ? 0 : 1);
-  if (rit != return_taint_.end()) w.u64(ret_idx);
+  w.u64(ret ? 1 : 0);
+  if (ret) w.u64(ret_idx);
   w.u64(obj_slots.size());
   for (const auto& [name, idx] : obj_slots) {
     w.str(name);
@@ -1114,9 +1114,8 @@ bool TaintAnalysis::applyRecord(const ir::Function& fn,
     ret_taint = pair_at(r.u64());
     if (!r.ok() || ret_taint == nullptr) return false;
   }
-  const auto sit = memo_statics_.find(&fn);
-  const auto footprint =
-      sit != memo_statics_.end() ? sit->second.footprint : memoFootprint(fn);
+  const auto& statics = memo_statics_[fn.index()];
+  const auto footprint = statics ? statics->footprint : memoFootprint(fn);
   std::vector<std::pair<ObjId, const TaintPair*>> staged_objects;
   const std::uint64_t nobjs = r.u64();
   for (std::uint64_t i = 0; i < nobjs && r.ok(); ++i) {
@@ -1142,7 +1141,7 @@ bool TaintAnalysis::applyRecord(const ir::Function& fn,
   if (!r.ok() || !r.atEnd()) return false;
 
   for (const auto& [v, t] : staged_values) value_taint_[v] = *t;
-  if (ret_taint != nullptr) return_taint_[&fn] = *ret_taint;
+  if (ret_taint != nullptr) return_taint_[fn.index()] = *ret_taint;
   for (const auto& [obj, t] : staged_objects) object_taint_[obj] = *t;
   for (const auto& [formal, t] : staged_formals) {
     arg_concrete_[formal] = *t;
@@ -1197,8 +1196,10 @@ std::uint64_t TaintAnalysis::digestState(const ModuleIndex& index) const {
   for (const auto& [id, t] : arg_concrete_) {
     items["a:" + stable(id)] = taintPairStr(t, index);
   }
-  for (const auto& [fn, t] : return_taint_) {
-    items["r:" + fn->name()] = taintPairStr(t, index);
+  for (const auto& fn : module_.functions()) {
+    if (const auto& t = return_taint_[fn->index()]) {
+      items["r:" + fn->name()] = taintPairStr(*t, index);
+    }
   }
   support::Fnv1a h;
   for (const auto& [k, v] : items) {

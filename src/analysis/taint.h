@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -252,7 +253,7 @@ class TaintAnalysis {
   PhaseMemoHooks memo_;
   /// Per-run caches for the memo path (valid because alias/shm/ranges
   /// facts and effective assumptions are fixed inputs of this phase).
-  mutable std::map<const ir::Function*, MemoStatics> memo_statics_;
+  mutable std::vector<std::optional<MemoStatics>> memo_statics_;  // by fn
   mutable std::vector<std::uint64_t> memo_ref_hash_;  // by id, 0 = unset
   mutable std::vector<std::string> memo_object_names_;  // by ObjId
   mutable std::vector<std::string> memo_set_names_;  // by alias pool index
@@ -262,9 +263,9 @@ class TaintAnalysis {
   mutable std::set<std::uint32_t> pruned_branches_;
   mutable std::set<std::pair<std::uint32_t, std::size_t>> pruned_phi_edges_;
 
-  std::map<const ir::Function*, AssumptionSet> local_assumptions_;
-  std::map<const ir::Function*, AssumptionSet> effective_;
-  std::map<const ir::Function*, bool> effective_is_top_;
+  // Per-function state, by ir::Function::index().
+  std::vector<AssumptionSet> local_assumptions_;
+  std::vector<AssumptionSet> effective_;
 
   std::map<std::uint32_t, TaintPair> value_taint_;  // by value id
   std::map<ObjId, TaintPair> object_taint_;
@@ -272,16 +273,17 @@ class TaintAnalysis {
   /// receives, merged over call sites — used when parameter symbols
   /// escape through memory or reach a report site inside a callee.
   std::map<std::uint32_t, TaintPair> arg_concrete_;
-  std::map<const ir::Function*, TaintPair> return_taint_;
-  std::map<const ir::Function*, ControlDependence> control_dep_;
-  // Call-string memoization: (function, context) -> return taint.
-  std::map<std::pair<const ir::Function*, AssumptionSet>, TaintPair>
+  /// Empty until the function's first return (or call-string summary)
+  /// is evaluated; the memo digests hash that presence.
+  std::vector<std::optional<TaintPair>> return_taint_;  // by fn index
+  std::vector<std::optional<ControlDependence>> control_dep_;  // by fn
+  // Call-string memoization: (function index, context) -> return taint.
+  std::map<std::pair<std::uint32_t, AssumptionSet>, TaintPair>
       context_memo_;
   std::size_t body_analyses_ = 0;
   /// Set when evalCall grew a callee's concrete argument taint; folded
   /// into the enclosing fixpoint's change flag.
   bool side_effect_changed_ = false;
-  AssumptionSet empty_assumptions_;
 };
 
 }  // namespace safeflow::analysis

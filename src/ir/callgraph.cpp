@@ -9,9 +9,13 @@ namespace safeflow::ir {
 
 namespace {
 constexpr std::string_view kFnAddrPrefix = "@fnaddr.";
-}
 
-CallGraph::CallGraph(const Module& module) : module_(module) {
+bool byIndex(const Function* a, const Function* b) {
+  return a->index() < b->index();
+}
+}  // namespace
+
+CallGraph::CallGraph(const Module& module) {
   const support::ScopedTimer timer("phase.callgraph");
   // Address-taken functions (represented by @fnaddr.<name> globals created
   // during lowering).
@@ -25,124 +29,109 @@ CallGraph::CallGraph(const Module& module) : module_(module) {
     }
   }
 
+  const std::size_t n = module.functions().size();
+  callees_.resize(n);
+  callers_.resize(n);
   for (const auto& fn : module.functions()) {
-    callees_[fn.get()];  // ensure node exists
     if (!fn->isDefined()) continue;
+    auto& out = callees_[fn->index()];
     for (const auto& bb : fn->blocks()) {
       for (const auto& inst : bb->instructions()) {
         if (inst->opcode() != Opcode::kCall) continue;
-        for (const Function* target : targets(*inst)) {
-          callees_[fn.get()].insert(target);
-          callers_[target].insert(fn.get());
-        }
+        const auto ts = targets(*inst);
+        out.insert(out.end(), ts.begin(), ts.end());
       }
     }
+    std::sort(out.begin(), out.end(), byIndex);
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    // Callers are visited in index order, so each list stays sorted.
+    for (const Function* target : out) {
+      callers_[target->index()].push_back(fn.get());
+    }
   }
-  computeSccs();
+  computeSccs(module);
   std::size_t edges = 0;
-  for (const auto& [fn, cs] : callees_) edges += cs.size();
+  for (const auto& cs : callees_) edges += cs.size();
   SAFEFLOW_COUNT_N("callgraph.edges", edges);
   SAFEFLOW_COUNT_N("callgraph.address_taken", address_taken_.size());
   SAFEFLOW_GAUGE("callgraph.sccs", sccs_.size());
-  SAFEFLOW_GAUGE("callgraph.recursive_functions", recursive_.size());
+  SAFEFLOW_GAUGE("callgraph.recursive_functions",
+                 std::count(recursive_.begin(), recursive_.end(), true));
 }
 
-std::vector<const Function*> CallGraph::targets(
+std::span<const Function* const> CallGraph::targets(
     const Instruction& call) const {
   assert(call.opcode() == Opcode::kCall);
-  if (call.direct_callee != nullptr) return {call.direct_callee};
+  if (call.direct_callee != nullptr) return {&call.direct_callee, 1};
   return address_taken_;  // conservative indirect resolution
 }
 
-const std::set<const Function*>& CallGraph::callees(
-    const Function* fn) const {
-  auto it = callees_.find(fn);
-  return it == callees_.end() ? empty_ : it->second;
-}
-
-const std::set<const Function*>& CallGraph::callers(
-    const Function* fn) const {
-  auto it = callers_.find(fn);
-  return it == callers_.end() ? empty_ : it->second;
-}
-
-void CallGraph::computeSccs() {
-  // Tarjan's algorithm, iterative to survive deep graphs.
-  std::map<const Function*, int> index;
-  std::map<const Function*, int> lowlink;
-  std::map<const Function*, bool> on_stack;
-  std::vector<const Function*> stack;
-  int next_index = 0;
+void CallGraph::computeSccs(const Module& module) {
+  // Tarjan's algorithm over function indices, iterative to survive deep
+  // graphs.
+  const std::size_t n = module.functions().size();
+  constexpr int kUnvisited = -1;
+  std::vector<int> order(n, kUnvisited);
+  std::vector<int> lowlink(n, 0);
+  std::vector<bool> on_stack(n, false);
+  std::vector<std::uint32_t> stack;
+  recursive_.assign(n, false);
+  int next_order = 0;
 
   struct Frame {
-    const Function* fn;
-    std::vector<const Function*> succs;
+    std::uint32_t fn;
     std::size_t next_succ = 0;
   };
+  std::vector<Frame> frames;
+  const auto open = [&](std::uint32_t fn) {
+    order[fn] = lowlink[fn] = next_order++;
+    stack.push_back(fn);
+    on_stack[fn] = true;
+    frames.push_back(Frame{fn});
+  };
 
-  auto strongConnect = [&](const Function* root) {
-    std::vector<Frame> frames;
-    auto open = [&](const Function* fn) {
-      index[fn] = lowlink[fn] = next_index++;
-      stack.push_back(fn);
-      on_stack[fn] = true;
-      const auto& succ_set = callees(fn);
-      frames.push_back(
-          Frame{fn, {succ_set.begin(), succ_set.end()}, 0});
-    };
+  for (std::uint32_t root = 0; root < n; ++root) {
+    if (order[root] != kUnvisited) continue;
     open(root);
     while (!frames.empty()) {
       Frame& top = frames.back();
-      if (top.next_succ < top.succs.size()) {
-        const Function* succ = top.succs[top.next_succ++];
-        if (!index.contains(succ)) {
+      const auto& succs = callees_[top.fn];
+      if (top.next_succ < succs.size()) {
+        const std::uint32_t succ = succs[top.next_succ++]->index();
+        if (order[succ] == kUnvisited) {
           open(succ);
         } else if (on_stack[succ]) {
-          lowlink[top.fn] = std::min(lowlink[top.fn], index[succ]);
+          lowlink[top.fn] = std::min(lowlink[top.fn], order[succ]);
         }
         continue;
       }
       // Close this frame.
-      if (lowlink[top.fn] == index[top.fn]) {
+      const std::uint32_t closed = top.fn;
+      if (lowlink[closed] == order[closed]) {
         std::vector<const Function*> scc;
         while (true) {
-          const Function* v = stack.back();
+          const std::uint32_t v = stack.back();
           stack.pop_back();
           on_stack[v] = false;
-          scc.push_back(v);
-          if (v == top.fn) break;
+          scc.push_back(module.functions()[v].get());
+          if (v == closed) break;
         }
-        if (scc.size() > 1) {
-          for (const Function* f : scc) recursive_.insert(f);
-        } else if (callees(scc[0]).contains(scc[0])) {
-          recursive_.insert(scc[0]);  // self-recursion
+        const bool self_call =
+            std::binary_search(succs.begin(), succs.end(), scc[0], byIndex);
+        if (scc.size() > 1 || self_call) {
+          for (const Function* f : scc) recursive_[f->index()] = true;
         }
         sccs_.push_back(std::move(scc));
       }
-      const Function* closed = top.fn;
       frames.pop_back();
       if (!frames.empty()) {
         lowlink[frames.back().fn] =
             std::min(lowlink[frames.back().fn], lowlink[closed]);
       }
     }
-  };
-
-  for (const auto& fn : module_.functions()) {
-    if (!index.contains(fn.get())) strongConnect(fn.get());
   }
   // Tarjan emits SCCs in reverse topological order of the condensation,
   // which for a call graph is exactly callee-before-caller (bottom-up).
-}
-
-std::vector<std::vector<const Function*>> CallGraph::sccsTopDown() const {
-  std::vector<std::vector<const Function*>> out(sccs_.rbegin(),
-                                                sccs_.rend());
-  return out;
-}
-
-bool CallGraph::isRecursive(const Function* fn) const {
-  return recursive_.contains(fn);
 }
 
 }  // namespace safeflow::ir

@@ -1,11 +1,11 @@
-// Call graph with Tarjan SCCs, providing the bottom-up / top-down
-// traversal orders used by the paper's interprocedural phases.
-// Indirect calls (through function pointers) are resolved conservatively
-// to every address-taken function.
+// Call graph with Tarjan SCCs, providing the bottom-up traversal order
+// used by the paper's interprocedural phases. Indirect calls (through
+// function pointers) are resolved conservatively to every address-taken
+// function. Edges and SCCs follow Function::index() order, so no order
+// here depends on where the allocator placed the IR.
 #pragma once
 
-#include <map>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "ir/ir.h"
@@ -16,13 +16,18 @@ class CallGraph {
  public:
   explicit CallGraph(const Module& module);
 
-  [[nodiscard]] const std::set<const Function*>& callees(
-      const Function* fn) const;
-  [[nodiscard]] const std::set<const Function*>& callers(
-      const Function* fn) const;
+  /// Distinct callees / callers of fn, sorted by Function::index().
+  [[nodiscard]] std::span<const Function* const> callees(
+      const Function* fn) const {
+    return callees_[fn->index()];
+  }
+  [[nodiscard]] std::span<const Function* const> callers(
+      const Function* fn) const {
+    return callers_[fn->index()];
+  }
 
   /// Possible targets of one call instruction (singleton for direct calls).
-  [[nodiscard]] std::vector<const Function*> targets(
+  [[nodiscard]] std::span<const Function* const> targets(
       const Instruction& call) const;
 
   /// Strongly connected components in bottom-up (callee-first) order.
@@ -30,22 +35,20 @@ class CallGraph {
   sccsBottomUp() const {
     return sccs_;
   }
-  /// The same SCCs in top-down (caller-first) order.
-  [[nodiscard]] std::vector<std::vector<const Function*>> sccsTopDown() const;
 
   /// True when fn participates in a cycle (including self-recursion).
-  [[nodiscard]] bool isRecursive(const Function* fn) const;
+  [[nodiscard]] bool isRecursive(const Function* fn) const {
+    return recursive_[fn->index()];
+  }
 
  private:
-  void computeSccs();
+  void computeSccs(const Module& module);
 
-  const Module& module_;
-  std::map<const Function*, std::set<const Function*>> callees_;
-  std::map<const Function*, std::set<const Function*>> callers_;
+  std::vector<std::vector<const Function*>> callees_;  // by function index
+  std::vector<std::vector<const Function*>> callers_;  // by function index
   std::vector<const Function*> address_taken_;
   std::vector<std::vector<const Function*>> sccs_;
-  std::set<const Function*> recursive_;
-  std::set<const Function*> empty_;
+  std::vector<bool> recursive_;  // by function index
 };
 
 }  // namespace safeflow::ir

@@ -1,7 +1,6 @@
 #include "ir/dominators.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace safeflow::ir {
 
@@ -10,8 +9,6 @@ namespace {
 /// Explicit graph over block indices; index n (== blocks.size()) is the
 /// virtual root used for post-dominators.
 struct Graph {
-  std::vector<const BasicBlock*> blocks;
-  std::map<const BasicBlock*, int> index;
   std::vector<std::vector<int>> succs;
   std::vector<std::vector<int>> preds;
   int root = 0;
@@ -19,11 +16,7 @@ struct Graph {
 
 Graph buildGraph(const Function& fn, bool post) {
   Graph g;
-  for (const auto& bb : fn.blocks()) {
-    g.index[bb.get()] = static_cast<int>(g.blocks.size());
-    g.blocks.push_back(bb.get());
-  }
-  const int n = static_cast<int>(g.blocks.size());
+  const int n = static_cast<int>(fn.blocks().size());
   const int total = post ? n + 1 : n;  // +1 virtual exit
   g.succs.assign(total, {});
   g.preds.assign(total, {});
@@ -34,8 +27,8 @@ Graph buildGraph(const Function& fn, bool post) {
   };
 
   for (int i = 0; i < n; ++i) {
-    const BasicBlock* bb = g.blocks[i];
-    for (BasicBlock* s : bb->successors()) addEdge(i, g.index.at(s));
+    const BasicBlock* bb = fn.blocks()[i].get();
+    for (BasicBlock* s : bb->successors()) addEdge(i, s->index());
     if (post && bb->terminator() != nullptr &&
         bb->terminator()->opcode() == Opcode::kRet) {
       addEdge(i, n);  // ret -> virtual exit
@@ -147,28 +140,32 @@ DominatorTree DominatorTree::computeImpl(const Function& fn, bool post) {
     }
   }
 
-  const int n = static_cast<int>(g.blocks.size());
+  const int n = static_cast<int>(fn.blocks().size());
+  const auto block = [&fn](int v) { return fn.blocks()[v].get(); };
+  tree.idom_.assign(n, nullptr);
+  tree.children_.resize(n);
+  tree.frontiers_.resize(n);
   for (int v = 0; v < n; ++v) {
-    if (idom[v] == -1) continue;  // unreachable block
-    const BasicBlock* block = g.blocks[static_cast<std::size_t>(v)];
-    if (idom[v] == v || idom[v] >= n) {
-      tree.idom_[block] = nullptr;  // root or virtual-exit parent
-    } else {
-      tree.idom_[block] = g.blocks[static_cast<std::size_t>(idom[v])];
-    }
+    // Unreachable blocks (-1), the root and virtual-exit children keep
+    // a null idom.
+    if (idom[v] == -1 || idom[v] == v || idom[v] >= n) continue;
+    tree.idom_[v] = block(idom[v]);
+    tree.children_[idom[v]].push_back(block(v));
   }
 
   // Dominance frontiers (per Cytron et al.): for each join node, walk up
-  // from each predecessor to the idom.
-  for (int v = 0; v < total; ++v) {
+  // from each predecessor to the idom. Join nodes are visited in block
+  // order, so each frontier list comes out sorted; the back() check drops
+  // the repeat when two predecessors' walks meet the same runner.
+  for (int v = 0; v < n; ++v) {
     if (g.preds[v].size() < 2 || idom[v] == -1) continue;
     for (const int p : g.preds[v]) {
       if (idom[p] == -1) continue;
       int runner = p;
       while (runner != idom[v] && runner != g.root) {
-        if (runner < n && v < n) {
-          tree.frontiers_[g.blocks[static_cast<std::size_t>(runner)]].insert(
-              g.blocks[static_cast<std::size_t>(v)]);
+        if (runner < n) {
+          auto& df = tree.frontiers_[runner];
+          if (df.empty() || df.back() != block(v)) df.push_back(block(v));
         }
         if (runner == idom[runner]) break;
         runner = idom[runner];
@@ -179,30 +176,12 @@ DominatorTree DominatorTree::computeImpl(const Function& fn, bool post) {
   return tree;
 }
 
-const BasicBlock* DominatorTree::idom(const BasicBlock* bb) const {
-  auto it = idom_.find(bb);
-  return it == idom_.end() ? nullptr : it->second;
-}
-
 bool DominatorTree::dominates(const BasicBlock* a,
                               const BasicBlock* b) const {
-  const BasicBlock* cur = b;
-  while (cur != nullptr) {
+  for (const BasicBlock* cur = b; cur != nullptr; cur = idom(cur)) {
     if (cur == a) return true;
-    auto it = idom_.find(cur);
-    if (it == idom_.end()) return false;
-    cur = it->second;
   }
   return false;
-}
-
-std::vector<const BasicBlock*> DominatorTree::children(
-    const BasicBlock* bb) const {
-  std::vector<const BasicBlock*> out;
-  for (const auto& [block, parent] : idom_) {
-    if (parent == bb) out.push_back(block);
-  }
-  return out;
 }
 
 }  // namespace safeflow::ir

@@ -61,7 +61,8 @@ Argument* Function::addArg(const Type* type, std::string name) {
 }
 
 BasicBlock* Function::createBlock(std::string label) {
-  blocks_.push_back(std::make_unique<BasicBlock>(std::move(label), this));
+  blocks_.push_back(std::make_unique<BasicBlock>(
+      std::move(label), this, static_cast<std::uint32_t>(blocks_.size())));
   return blocks_.back().get();
 }
 
@@ -69,7 +70,8 @@ Function* Module::getOrCreateFunction(const std::string& name,
                                       const cfront::FunctionType* type) {
   auto it = function_map_.find(name);
   if (it != function_map_.end()) return it->second;
-  functions_.push_back(std::make_unique<Function>(name, type, this));
+  functions_.push_back(std::make_unique<Function>(
+      name, type, this, static_cast<std::uint32_t>(functions_.size())));
   Function* f = functions_.back().get();
   function_map_[name] = f;
   return f;

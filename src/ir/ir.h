@@ -223,11 +223,13 @@ class Instruction final : public Value {
 
 class BasicBlock {
  public:
-  BasicBlock(std::string label, Function* parent)
-      : label_(std::move(label)), parent_(parent) {}
+  BasicBlock(std::string label, Function* parent, std::uint32_t index)
+      : label_(std::move(label)), parent_(parent), index_(index) {}
 
   [[nodiscard]] const std::string& label() const { return label_; }
   [[nodiscard]] Function* parent() const { return parent_; }
+  /// Position in parent()->blocks(); per-block state is indexed by it.
+  [[nodiscard]] std::uint32_t index() const { return index_; }
   [[nodiscard]] const std::vector<std::unique_ptr<Instruction>>&
   instructions() const {
     return insts_;
@@ -246,6 +248,7 @@ class BasicBlock {
  private:
   std::string label_;
   Function* parent_;
+  std::uint32_t index_;
   std::vector<std::unique_ptr<Instruction>> insts_;
 };
 
@@ -259,10 +262,13 @@ struct FunctionAnnotations {
 
 class Function {
  public:
-  Function(std::string name, const cfront::FunctionType* type, Module* parent)
-      : name_(std::move(name)), type_(type), parent_(parent) {}
+  Function(std::string name, const cfront::FunctionType* type, Module* parent,
+           std::uint32_t index)
+      : name_(std::move(name)), type_(type), parent_(parent), index_(index) {}
 
   [[nodiscard]] const std::string& name() const { return name_; }
+  /// Position in parent()->functions(); per-function state is indexed by it.
+  [[nodiscard]] std::uint32_t index() const { return index_; }
   [[nodiscard]] const cfront::FunctionType* functionType() const {
     return type_;
   }
@@ -303,6 +309,7 @@ class Function {
   std::string name_;
   const cfront::FunctionType* type_;
   Module* parent_;
+  std::uint32_t index_;
   std::uint32_t first_local_id_ = 0;
   std::uint32_t local_count_ = 0;
   std::vector<std::unique_ptr<Argument>> args_;

@@ -39,7 +39,6 @@ struct Renamer {
   const DominatorTree& domtree;
   // Per-alloca reaching definition stack entry is handled via a map of
   // current values snapshotted along the dom-tree walk.
-  std::vector<const Instruction*> allocas;
   std::map<const Instruction*, std::size_t> alloca_index;
   std::map<const Instruction*, const Instruction*> phi_home;  // phi->alloca
   std::set<Instruction*> dead;
@@ -130,33 +129,33 @@ SsaStats promoteToSsa(Function& fn, Module& module) {
   stats.promoted_allocas = allocas.size();
 
   // Phi insertion on iterated dominance frontiers of defining blocks.
-  Renamer renamer{fn, module, domtree, {}, {}, {}, {}, stats};
+  Renamer renamer{fn, module, domtree, {}, {}, {}, stats};
   for (std::size_t i = 0; i < allocas.size(); ++i) {
-    renamer.allocas.push_back(allocas[i]);
     renamer.alloca_index[allocas[i]] = i;
   }
 
+  const std::size_t nblocks = fn.blocks().size();
   for (Instruction* alloca : allocas) {
-    // Blocks containing a store to this alloca.
-    std::set<BasicBlock*> def_blocks;
+    // Blocks containing a store to this alloca, by block index.
+    std::vector<bool> def_blocks(nblocks, false);
+    std::vector<BasicBlock*> work;
     for (const auto& bb : fn.blocks()) {
       for (const auto& inst : bb->instructions()) {
         if (inst->opcode() == Opcode::kStore && inst->numOperands() == 2 &&
             inst->operand(1) == alloca) {
-          def_blocks.insert(bb.get());
+          def_blocks[bb->index()] = true;
+          work.push_back(bb.get());
+          break;
         }
       }
     }
-    std::set<const BasicBlock*> has_phi;
-    std::vector<BasicBlock*> work(def_blocks.begin(), def_blocks.end());
+    std::vector<bool> has_phi(nblocks, false);
     while (!work.empty()) {
       BasicBlock* bb = work.back();
       work.pop_back();
-      auto it = domtree.frontiers().find(bb);
-      if (it == domtree.frontiers().end()) continue;
-      for (const BasicBlock* frontier : it->second) {
-        if (has_phi.contains(frontier)) continue;
-        has_phi.insert(frontier);
+      for (const BasicBlock* frontier : domtree.frontier(bb)) {
+        if (has_phi[frontier->index()]) continue;
+        has_phi[frontier->index()] = true;
         auto phi = std::make_unique<Instruction>(
             Opcode::kPhi, alloca->allocated_type, alloca->location());
         phi->setName(alloca->name() + ".phi");
@@ -164,7 +163,7 @@ SsaStats promoteToSsa(Function& fn, Module& module) {
             const_cast<BasicBlock*>(frontier)->prepend(std::move(phi));
         renamer.phi_home[phi_raw] = alloca;
         ++renamer.stats.phis_inserted;
-        if (!def_blocks.contains(const_cast<BasicBlock*>(frontier))) {
+        if (!def_blocks[frontier->index()]) {
           work.push_back(const_cast<BasicBlock*>(frontier));
         }
       }

@@ -70,12 +70,17 @@ std::uint64_t SummaryStore::recoverDir() {
 
 void SummaryStore::beginRun(const analysis::FunctionKeyMap& keys) {
   std::lock_guard<std::mutex> lock(mu_);
-  run_keys_.clear();
-  for (const auto& [fn, key] : keys) run_keys_.emplace(fn, key);
+  run_keys_ = keys;
   stats_ = SummaryStoreStats{};
   for (auto& s : resolved_) s.clear();
   for (auto& s : hit_) s.clear();
   counted_missing_.clear();
+}
+
+const std::string* SummaryStore::runKey(const ir::Function& fn) const {
+  const std::uint32_t i = fn.index();
+  return i < run_keys_.size() && !run_keys_[i].empty() ? &run_keys_[i]
+                                                        : nullptr;
 }
 
 analysis::SummaryBank* SummaryStore::bank(SummaryPhase phase) {
@@ -97,11 +102,11 @@ const std::string* SummaryStore::find(SummaryPhase phase,
                                       const ir::Function& fn,
                                       std::uint64_t digest) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto kit = run_keys_.find(&fn);
-  if (kit == run_keys_.end()) return nullptr;
-  Entry* entry = loadEntry(kit->second);
+  const std::string* key = runKey(fn);
+  if (key == nullptr) return nullptr;
+  Entry* entry = loadEntry(*key);
   if (entry == nullptr) {
-    if (counted_missing_.insert(kit->second).second) ++stats_.invalidated;
+    if (counted_missing_.insert(*key).second) ++stats_.invalidated;
     return nullptr;
   }
   const auto& records = entry->records[static_cast<std::size_t>(phase)];
@@ -118,11 +123,11 @@ const std::string* SummaryStore::find(SummaryPhase phase,
 void SummaryStore::record(SummaryPhase phase, const ir::Function& fn,
                           std::uint64_t digest, std::string blob) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto kit = run_keys_.find(&fn);
-  if (kit == run_keys_.end()) return;
+  const std::string* key = runKey(fn);
+  if (key == nullptr) return;
   ++stats_.misses;
   resolved_[static_cast<std::size_t>(phase)].insert(fn.name());
-  Entry& entry = entries_[kit->second];
+  Entry& entry = entries_[*key];
   auto& records = entry.records[static_cast<std::size_t>(phase)];
   for (auto& [d, b] : records) {
     if (d == digest) {

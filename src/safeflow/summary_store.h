@@ -149,6 +149,8 @@ class SummaryStore {
                           std::uint64_t digest);
   void record(SummaryPhase phase, const ir::Function& fn,
               std::uint64_t digest, std::string blob);
+  /// This run's key for fn, or nullptr. Caller holds mu_.
+  [[nodiscard]] const std::string* runKey(const ir::Function& fn) const;
   /// Entry for `key`, loading (and validating) from disk on first
   /// touch. Returns nullptr when absent everywhere. Caller holds mu_.
   Entry* loadEntry(const std::string& key);
@@ -167,7 +169,7 @@ class SummaryStore {
   /// Keys whose disk load already failed or missed this process — do
   /// not retry the filesystem on every probe.
   std::set<std::string> load_failed_;
-  std::map<const ir::Function*, std::string> run_keys_;
+  analysis::FunctionKeyMap run_keys_;  // by function index
   std::array<PhaseBank, kSummaryPhaseCount> banks_;
 
   SummaryStoreStats stats_;

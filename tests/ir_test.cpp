@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -334,9 +335,9 @@ TEST(Dominators, FrontierOfBranchIsMerge) {
     if (bb->label().rfind("if.then", 0) == 0) then_bb = bb.get();
     if (bb->label().rfind("if.end", 0) == 0) end_bb = bb.get();
   }
-  auto it = dt.frontiers().find(then_bb);
-  ASSERT_NE(it, dt.frontiers().end());
-  EXPECT_TRUE(it->second.contains(end_bb));
+  ASSERT_NE(then_bb, nullptr);
+  const auto df = dt.frontier(then_bb);
+  EXPECT_NE(std::ranges::find(df, end_bb), df.end());
 }
 
 TEST(Dominators, PostDominatorsOfDiamond) {
@@ -375,9 +376,15 @@ TEST(CallGraph, DirectEdges) {
   const ir::Function* top = b.module->findFunction("top");
   const ir::Function* mid = b.module->findFunction("mid");
   const ir::Function* leaf = b.module->findFunction("leaf");
-  EXPECT_TRUE(cg.callees(top).contains(mid));
-  EXPECT_TRUE(cg.callees(top).contains(leaf));
-  EXPECT_TRUE(cg.callers(leaf).contains(mid));
+  const auto calls = [&cg](const ir::Function* from,
+                           const ir::Function* to) {
+    return std::ranges::find(cg.callees(from), to) !=
+               cg.callees(from).end() &&
+           std::ranges::find(cg.callers(to), from) != cg.callers(to).end();
+  };
+  EXPECT_TRUE(calls(top, mid));
+  EXPECT_TRUE(calls(top, leaf));
+  EXPECT_TRUE(calls(mid, leaf));
   EXPECT_FALSE(cg.isRecursive(top));
 }
 
@@ -420,17 +427,6 @@ TEST(CallGraph, SelfRecursionDetected) {
       "int fact(int n) { if (n <= 1) return 1; return n * fact(n - 1); }");
   ir::CallGraph cg(*b.module);
   EXPECT_TRUE(cg.isRecursive(b.module->findFunction("fact")));
-}
-
-TEST(CallGraph, TopDownIsReverseOfBottomUp) {
-  const auto b = build(
-      "int leaf(void) { return 1; }\n"
-      "int top(void) { return leaf(); }");
-  ir::CallGraph cg(*b.module);
-  const auto up = cg.sccsBottomUp();
-  const auto down = cg.sccsTopDown();
-  ASSERT_EQ(up.size(), down.size());
-  EXPECT_EQ(up.front(), down.back());
 }
 
 // ---------------------------------------------------------------------------

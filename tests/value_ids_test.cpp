@@ -1,17 +1,20 @@
 // Value numbering: every value a promoted module owns has one dense id
 // (ir::Value::id), functions own contiguous id ranges whose offsets are
-// the cross-run positions memo blobs use, and no analysis result depends
-// on where the allocator placed the IR.
+// the cross-run positions memo blobs use, and no analysis result, IR
+// order or call-graph order depends on where the allocator placed the IR.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "analysis/summaries.h"
 #include "bench/synthetic.h"
+#include "ir/callgraph.h"
+#include "ir/printer.h"
 #include "safeflow/corpus_info.h"
 #include "safeflow/driver.h"
 
@@ -66,13 +69,59 @@ std::unique_ptr<SafeFlowDriver> analyze(const Input& in) {
   return d;
 }
 
-std::vector<std::pair<std::string, std::uint64_t>> taintCounters(
-    const SafeFlowDriver& d) {
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  for (const auto& [name, value] : d.stats().counters) {
-    if (name.rfind("taint.", 0) == 0) out.emplace_back(name, value);
+// Everything about one analysis whose order a heap layout could move:
+// the reports, the printed SSA IR (phi operand order follows the
+// dominator-tree walk), the call graph's SCC order, the summary-store
+// keys, and the fixpoint counters of the three interprocedural phases.
+struct Fingerprint {
+  std::string report;
+  std::string json;
+  std::string ir;
+  std::vector<std::vector<std::string>> sccs;  // function names
+  std::vector<std::pair<std::string, std::string>> keys;
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+};
+
+Fingerprint fingerprint(const SafeFlowDriver& d) {
+  Fingerprint f;
+  f.report = d.report().render(d.sources());
+  f.json = d.report().renderJson(d.sources());
+  const ir::Module& m = *d.module();
+  f.ir = ir::print(m);
+  const ir::CallGraph cg(m);
+  for (const auto& scc : cg.sccsBottomUp()) {
+    std::vector<std::string> names;
+    for (const ir::Function* fn : scc) names.push_back(fn->name());
+    f.sccs.push_back(std::move(names));
   }
-  return out;
+  const analysis::FunctionKeyMap keys =
+      analysis::computeFunctionKeys(m, cg, "layout-test");
+  for (const auto& fn : m.functions()) {
+    if (!keys[fn->index()].empty()) {
+      f.keys.emplace_back(fn->name(), keys[fn->index()]);
+    }
+  }
+  for (const auto& [name, value] : d.stats().counters) {
+    if (name.starts_with("taint.") || name.starts_with("shm_propagation.") ||
+        name.starts_with("ranges.")) {
+      f.counters.emplace_back(name, value);
+    }
+  }
+  return f;
+}
+
+// Fragments the heap: many chunks of seed-dependent sizes, every other
+// one freed. The survivors are returned so the holes stay in place while
+// the next analysis allocates into them.
+std::vector<std::unique_ptr<char[]>> fragmentHeap(unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<std::size_t> size(8, 600);
+  std::vector<std::unique_ptr<char[]>> chunks;
+  for (int i = 0; i < 4000; ++i) {
+    chunks.push_back(std::make_unique<char[]>(size(rng)));
+  }
+  for (std::size_t i = 0; i < chunks.size(); i += 2) chunks[i].reset();
+  return chunks;
 }
 
 // The id lives in the padding after the kind: vptr, kind + id, type,
@@ -93,6 +142,11 @@ TEST(ValueIds, DenseUniqueAndPositional) {
     const analysis::ModuleIndex index(m);
     std::size_t locals = 0;
     for (const auto& fn : m.functions()) {
+      // Functions and blocks are numbered by position.
+      EXPECT_EQ(m.functions()[fn->index()].get(), fn.get()) << in.name;
+      for (const auto& bb : fn->blocks()) {
+        EXPECT_EQ(fn->blocks()[bb->index()].get(), bb.get()) << fn->name();
+      }
       // The walk memo positions were defined by: arguments in order,
       // then instructions in block order.
       std::vector<const ir::Value*> walk;
@@ -129,22 +183,20 @@ TEST(TaintGolden, IgnoresHeapAddresses) {
   inputs.push_back({"accumulator_cycle_20_8", {},
                     bench::accumulatorCycleProgram(20, 8)});
   for (const Input& in : inputs) {
-    const auto a = analyze(in);
-    // Shift the second run's allocations to other addresses.
-    std::vector<std::unique_ptr<char[]>> ballast;
-    for (int i = 0; i < 64; ++i) {
-      ballast.push_back(std::make_unique<char[]>(48 + 16 * i));
+    const Fingerprint a = fingerprint(*analyze(in));
+    EXPECT_FALSE(a.counters.empty()) << in.name;
+    EXPECT_FALSE(a.keys.empty()) << in.name;
+    for (unsigned seed = 1; seed <= 6; ++seed) {
+      const auto holes = fragmentHeap(seed);
+      const Fingerprint b = fingerprint(*analyze(in));
+      const std::string where = in.name + ", seed " + std::to_string(seed);
+      EXPECT_EQ(a.report, b.report) << where;
+      EXPECT_EQ(a.json, b.json) << where;
+      EXPECT_EQ(a.ir, b.ir) << where;
+      EXPECT_EQ(a.sccs, b.sccs) << where;
+      EXPECT_EQ(a.keys, b.keys) << where;
+      EXPECT_EQ(a.counters, b.counters) << where;
     }
-    const auto b = analyze(in);
-    EXPECT_EQ(a->report().render(a->sources()),
-              b->report().render(b->sources()))
-        << in.name;
-    EXPECT_EQ(a->report().renderJson(a->sources()),
-              b->report().renderJson(b->sources()))
-        << in.name;
-    const auto counters = taintCounters(*a);
-    EXPECT_FALSE(counters.empty()) << in.name;
-    EXPECT_EQ(counters, taintCounters(*b)) << in.name;
   }
 }
 
